@@ -13,15 +13,14 @@ import sys
 from pathlib import Path
 
 from .enforcement import (
-    EnforcementAction,
     PhaseReport,
     VerdictOutcome,
     enforce_phase,
-    missing_roles,
-    select_controls,
     trace_chain,
+    unbound_controls,
 )
-from .errors import OscalAssureError, PolicyError
+from .canonical import sha256_hex
+from .errors import DataError, OscalAssureError, PolicyError
 from .evidence import (
     ArtifactRole,
     capture_environment,
@@ -55,13 +54,17 @@ EXIT_BLOCKED = 2
 EXIT_INVALID_POLICY = 3
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """Ends a command: main prints the message to stderr and returns code."""
+
+    def __init__(self, message: str, code: int = EXIT_ERROR):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; 2 is taken
-        raise _UsageError(message)
+        raise _Exit(f"usage error: {message}")
 
 
 def _plan_format(path: Path) -> str:
@@ -70,20 +73,25 @@ def _plan_format(path: Path) -> str:
         return "json"
     if suffix in (".yaml", ".yml"):
         return "yaml"
-    raise _UsageError(f"cannot infer policy format from extension {suffix!r} "
-                      "(use .json, .yaml, or .yml)")
+    raise _Exit(f"usage error: cannot infer policy format from extension {suffix!r} "
+                "(use .json, .yaml, or .yml)")
 
 
 def _load_plan(path: str, ns: str) -> AssessmentPlan:
     source = Path(path)
-    return parse_plan_document(source.read_bytes(), _plan_format(source), ns=ns)
+    try:
+        return parse_plan_document(source.read_bytes(), _plan_format(source), ns=ns)
+    except PolicyError as exc:
+        raise _Exit(f"invalid policy: {exc}", EXIT_INVALID_POLICY) from exc
+    except OSError as exc:
+        raise _Exit(f"cannot read policy: {exc}") from exc
 
 
 def _split_binding(value: str, flag: str) -> tuple[str, str]:
     column, sep, positive = value.rpartition(":")
     if not sep or not column or not positive:
-        raise _UsageError(
-            f"{flag} must look like column:positive-label, got {value!r}"
+        raise _Exit(
+            f"usage error: {flag} must look like column:positive-label, got {value!r}"
         )
     return column, positive
 
@@ -187,14 +195,7 @@ def _write_documents(report: PhaseReport, out_dir: Path, deterministic: bool,
 
 
 def cmd_validate(args) -> int:
-    try:
-        plan = _load_plan(args.policy, args.ns)
-    except PolicyError as exc:
-        print(f"invalid policy: {exc}", file=sys.stderr)
-        return EXIT_INVALID_POLICY
-    except OSError as exc:
-        print(f"cannot read policy: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    plan = _load_plan(args.policy, args.ns)
 
     print(f"{args.policy}: valid assessment plan, {len(plan.controls)} control(s)")
     for spec in plan.controls:
@@ -205,14 +206,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enforce(args) -> int:
-    try:
-        plan = _load_plan(args.policy, args.ns)
-    except PolicyError as exc:
-        print(f"invalid policy: {exc}", file=sys.stderr)
-        return EXIT_INVALID_POLICY
-    except OSError as exc:
-        print(f"cannot read policy: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    plan = _load_plan(args.policy, args.ns)
 
     try:
         table = load_table(Path(args.data).read_bytes())
@@ -242,28 +236,24 @@ def cmd_enforce(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        plan = _load_plan(args.policy, args.ns)
-    except PolicyError as exc:
-        print(f"invalid policy: {exc}", file=sys.stderr)
-        return EXIT_INVALID_POLICY
-    except OSError as exc:
-        print(f"cannot read policy: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    plan = _load_plan(args.policy, args.ns)
 
     registry = default_registry()
     try:
         table = bindings = None
         if args.data:
-            table = load_table(Path(args.data).read_bytes())
+            data = Path(args.data).read_bytes()
+            table = load_table(data)
             if not args.target:
-                raise _UsageError("--target is required when --data is given")
+                raise _Exit("usage error: --target is required when --data is given")
             bindings = _build_bindings(args, table)
 
         session = open_session(args.run_id, args.vault)
         capture_environment(session)
         if args.data:
-            record_artifact(session, args.data, role=ArtifactRole.INPUT_DATA)
+            record = record_artifact(session, args.data, role=ArtifactRole.INPUT_DATA)
+            if record.sha256 != sha256_hex(data):
+                raise DataError(f"input data changed during the run: {args.data}")
         for path in args.hash or []:
             record_artifact(session, path, role=ArtifactRole.OTHER)
         if args.bom:
@@ -278,17 +268,12 @@ def cmd_run(args) -> int:
         reports: list[PhaseReport] = []
         blocked = False
         for phase in plan.phases_present():
-            selected = select_controls(plan, phase)
-            unsatisfied = [
-                f"{spec.control_id} ({', '.join(missing)})"
-                for spec in selected
-                for missing in [missing_roles(spec, ctx, registry)]
-                if missing
-            ]
-            if unsatisfied:
+            unbound = unbound_controls(plan, phase, ctx, registry)
+            if unbound:
                 print(
                     f"phase {phase.value}: skipped, roles not bound for "
-                    + "; ".join(unsatisfied),
+                    + "; ".join(f"{spec.control_id} ({', '.join(missing)})"
+                                for spec, missing in unbound),
                     file=sys.stderr,
                 )
                 continue
@@ -309,8 +294,6 @@ def cmd_run(args) -> int:
             session, reports, deterministic=args.deterministic,
             seed_namespace=args.seed_namespace,
         )
-    except _UsageError:
-        raise
     except (OscalAssureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -450,14 +433,7 @@ def _report_payload(results, poam) -> dict:
 
 
 def cmd_trace(args) -> int:
-    try:
-        plan = _load_plan(args.policy, args.ns)
-    except PolicyError as exc:
-        print(f"invalid policy: {exc}", file=sys.stderr)
-        return EXIT_INVALID_POLICY
-    except OSError as exc:
-        print(f"cannot read policy: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    plan = _load_plan(args.policy, args.ns)
 
     labels = None
     if args.labels:
@@ -543,22 +519,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -80,6 +80,10 @@ class Verdict:
         return None
 
 
+#: Upward traceability links, nearest first.
+_TRACE_KINDS = ("treatment", "risk", "objective", "policy")
+
+
 @dataclass(frozen=True)
 class TraceChain:
     """Upward links from a control, in treatment -> risk -> objective ->
@@ -94,7 +98,7 @@ class TraceChain:
 
     def links(self) -> list[tuple[str, str]]:
         chain = []
-        for kind in ("treatment", "risk", "objective", "policy"):
+        for kind in _TRACE_KINDS:
             value = getattr(self, f"{kind}_id")
             if value is not None:
                 chain.append((kind, value))
@@ -152,12 +156,9 @@ def select_controls(
 def control_context(spec: ControlSpec, ctx: MetricContext) -> MetricContext:
     """Specialize a context for one control: merge metric params and pick
     the evaluation side from target_type."""
-    params = dict(ctx.params)
-    params.update(spec.metric_params)
-    return MetricContext(
-        table=ctx.table,
-        bindings=ctx.bindings,
-        params=params,
+    return dataclasses.replace(
+        ctx,
+        params={**ctx.params, **spec.metric_params},
         evaluate_on="prediction" if spec.target_type is TargetType.MODEL else "target",
     )
 
@@ -175,15 +176,27 @@ def missing_roles(spec: ControlSpec, ctx: MetricContext, registry: MetricRegistr
     """Roles a control needs that the context does not provide."""
     if not would_execute(spec):
         return []
+    spec_ctx = control_context(spec, ctx)
     try:
-        required = registry.required_roles(
-            spec.metric_key,
-            "prediction" if spec.target_type is TargetType.MODEL else "target",
-        )
+        required = registry.required_roles(spec.metric_key, spec_ctx.evaluate_on)
     except OscalAssureError:
         return []  # unknown metric key: surfaces as an evaluation error later
-    spec_ctx = control_context(spec, ctx)
     return sorted(role for role in required if not role_bound(spec_ctx, role))
+
+
+def unbound_controls(
+    plan: AssessmentPlan,
+    phase: LifecyclePhase,
+    ctx: MetricContext,
+    registry: MetricRegistry,
+) -> list[tuple[ControlSpec, list[str]]]:
+    """The phase's selected controls that need roles the context does not
+    provide, each with its missing roles, in plan order."""
+    return [
+        (spec, missing)
+        for spec in select_controls(plan, phase)
+        if (missing := missing_roles(spec, ctx, registry))
+    ]
 
 
 def _skip_verdict(
@@ -275,7 +288,7 @@ def evaluate_control(
     if spec.stratify_by is not None:
         try:
             strata = [
-                (label, MetricContext(table, spec_ctx.bindings, spec_ctx.params, spec_ctx.evaluate_on))
+                (label, dataclasses.replace(spec_ctx, table=table))
                 for label, table in stratify(spec_ctx.table, spec.stratify_by)
             ]
         except OscalAssureError as exc:
@@ -399,18 +412,15 @@ def enforce_phase(
     caller aborts at the process boundary after the phase.
     """
     clock = clock or utc_now
-    selected = select_controls(plan, phase)
-
-    mismatches = []
-    for spec in selected:
-        missing = missing_roles(spec, ctx, registry)
-        if missing:
-            mismatches.append(f"{spec.control_id} needs {', '.join(missing)}")
-    if mismatches:
+    unbound = unbound_controls(plan, phase, ctx, registry)
+    if unbound:
         raise PolicyDataMismatch(
             f"phase {phase.value}: bindings do not satisfy selected controls: "
-            + "; ".join(mismatches)
+            + "; ".join(
+                f"{spec.control_id} needs {', '.join(missing)}" for spec, missing in unbound
+            )
         )
+    selected = select_controls(plan, phase)
 
     start = clock()
     verdicts = tuple(
@@ -509,12 +519,8 @@ def combine_reports(
         block for report in reports for block in report.assessment_results.results
     )
     first = reports[0].assessment_results
-    merged = AssessmentResults(
-        uuid=random_uuid(),
-        title=first.title,
-        version=first.version,
-        last_modified=clock(),
-        results=blocks,
+    merged = dataclasses.replace(
+        first, uuid=random_uuid(), last_modified=clock(), results=blocks
     )
     items = tuple(
         item for report in reports if report.poam is not None for item in report.poam.poam_items
@@ -522,12 +528,8 @@ def combine_reports(
     if not items:
         return merged, None
     first_poam = next(report.poam for report in reports if report.poam is not None)
-    poam = PoamDocument(
-        uuid=random_uuid(),
-        title=first_poam.title,
-        version=first_poam.version,
-        last_modified=clock(),
-        poam_items=items,
+    poam = dataclasses.replace(
+        first_poam, uuid=random_uuid(), last_modified=clock(), poam_items=items
     )
     return merged, poam
 
@@ -537,22 +539,10 @@ def trace_chain(
 ) -> TraceChain:
     """Assemble the traceability chain from the control's optional id
     fields, resolving labels from a side-loaded id->label registry."""
-    present = {
-        "treatment_id": spec.treatment_id,
-        "risk_id": spec.risk_id,
-        "objective_id": spec.objective_id,
-        "policy_id": spec.policy_id,
-    }
-    resolved = {}
-    if labels:
-        for value in present.values():
-            if value is not None and value in labels:
-                resolved[value] = labels[value]
+    ids = {f"{kind}_id": getattr(spec, f"{kind}_id") for kind in _TRACE_KINDS}
+    labels = labels or {}
     return TraceChain(
         control_id=spec.control_id,
-        treatment_id=present["treatment_id"],
-        risk_id=present["risk_id"],
-        objective_id=present["objective_id"],
-        policy_id=present["policy_id"],
-        resolved_labels=resolved,
+        resolved_labels={value: labels[value] for value in ids.values() if value in labels},
+        **ids,
     )

@@ -69,6 +69,11 @@ class NonBinaryTarget(DataError):
     """A target/prediction column has more than two distinct values."""
 
 
+class UnknownPositiveLabel(DataError):
+    """A target/prediction column holds two values and neither is the
+    designated positive label."""
+
+
 class NegativeWeight(DataError):
     """The weight column contains a negative or non-finite value."""
 

@@ -155,6 +155,17 @@ def open_session(
     )
 
 
+def _hash_file(path: str | os.PathLike) -> tuple[str, int]:
+    """SHA-256 hex digest and byte size of a file, read in chunks."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            digest.update(chunk)
+            size += len(chunk)
+    return digest.hexdigest(), size
+
+
 def record_artifact(
     session: RunSession,
     path: str | os.PathLike,
@@ -164,16 +175,11 @@ def record_artifact(
     """Stream a file, compute its SHA-256, and append the record."""
     session._check_open()
     source = Path(path)
-    digest = hashlib.sha256()
-    size = 0
-    with open(source, "rb") as handle:
-        while chunk := handle.read(_HASH_CHUNK):
-            digest.update(chunk)
-            size += len(chunk)
+    sha256, size = _hash_file(source)
     record = ArtifactRecord(
         logical_name=logical_name or source.name,
         path=str(source),
-        sha256=digest.hexdigest(),
+        sha256=sha256,
         byte_size=size,
         role=role,
     )
@@ -185,15 +191,11 @@ def verify_artifact_records(records: list[ArtifactRecord]) -> list[str]:
     """Logical names of records whose file no longer matches its digest."""
     failed = []
     for record in records:
-        digest = hashlib.sha256()
         try:
-            with open(record.path, "rb") as handle:
-                while chunk := handle.read(_HASH_CHUNK):
-                    digest.update(chunk)
+            sha256, _ = _hash_file(record.path)
         except OSError:
-            failed.append(record.logical_name)
-            continue
-        if digest.hexdigest() != record.sha256:
+            sha256 = None
+        if sha256 != record.sha256:
             failed.append(record.logical_name)
     return failed
 

@@ -95,6 +95,28 @@ PHASE_ORDER = (
     LifecyclePhase.INCIDENT,
 )
 
+#: Single-valued enum properties and their vocabularies, in emission order
+#: (lifecycle_phase, which may repeat, is emitted right after severity).
+_ENUM_PROPS = {
+    "severity": Severity,
+    "enforcement_mode": EnforcementMode,
+    "evaluation_method": EvaluationMethod,
+    "evaluation_window": EvaluationWindow,
+    "target_type": TargetType,
+}
+
+#: Optional free-text properties, in emission order.
+_TEXT_PROPS = (
+    "risk_id",
+    "treatment_id",
+    "policy_id",
+    "objective_id",
+    "risk_acceptance_criteria",
+    "threshold_justification",
+    "stakeholder_consultation_ref",
+    "stratify_by",
+)
+
 
 @dataclass(frozen=True)
 class PropertyEntry:
@@ -209,24 +231,7 @@ def extract_control_spec(
     metric_params: dict[str, str] = {}
     extras: list[PropertyEntry] = []
 
-    single_valued = {
-        "metric_key",
-        "operator",
-        "threshold",
-        "severity",
-        "enforcement_mode",
-        "evaluation_method",
-        "evaluation_window",
-        "target_type",
-        "risk_id",
-        "treatment_id",
-        "policy_id",
-        "objective_id",
-        "risk_acceptance_criteria",
-        "threshold_justification",
-        "stakeholder_consultation_ref",
-        "stratify_by",
-    }
+    single_valued = {"metric_key", "operator", "threshold", *_ENUM_PROPS, *_TEXT_PROPS}
 
     for prop in props:
         ours = prop.ns is None or prop.ns == ns
@@ -259,40 +264,13 @@ def extract_control_spec(
         metric_key=fields["metric_key"].strip(),
         operator=normalize_operator(fields["operator"], control_id),
         threshold=_parse_threshold(fields["threshold"], control_id),
-        severity=(
-            _parse_enum(Severity, fields["severity"], control_id, "severity")
-            if "severity" in fields
-            else Severity.MEDIUM
-        ),
+        **{
+            name: _parse_enum(enum_cls, fields[name], control_id, name)
+            for name, enum_cls in _ENUM_PROPS.items()
+            if name in fields
+        },
+        **{name: fields[name] for name in _TEXT_PROPS if name in fields},
         lifecycle_phases=frozenset(phases) if phases else frozenset({LifecyclePhase.TRAINING}),
-        enforcement_mode=(
-            _parse_enum(EnforcementMode, fields["enforcement_mode"], control_id, "enforcement_mode")
-            if "enforcement_mode" in fields
-            else EnforcementMode.MONITOR
-        ),
-        evaluation_method=(
-            _parse_enum(EvaluationMethod, fields["evaluation_method"], control_id, "evaluation_method")
-            if "evaluation_method" in fields
-            else EvaluationMethod.AUTOMATED
-        ),
-        evaluation_window=(
-            _parse_enum(EvaluationWindow, fields["evaluation_window"], control_id, "evaluation_window")
-            if "evaluation_window" in fields
-            else EvaluationWindow.PER_RUN
-        ),
-        target_type=(
-            _parse_enum(TargetType, fields["target_type"], control_id, "target_type")
-            if "target_type" in fields
-            else TargetType.DATASET
-        ),
-        risk_id=fields.get("risk_id"),
-        treatment_id=fields.get("treatment_id"),
-        policy_id=fields.get("policy_id"),
-        objective_id=fields.get("objective_id"),
-        risk_acceptance_criteria=fields.get("risk_acceptance_criteria"),
-        threshold_justification=fields.get("threshold_justification"),
-        stakeholder_consultation_ref=fields.get("stakeholder_consultation_ref"),
-        stratify_by=fields.get("stratify_by"),
         metric_params=metric_params,
         extra_props=tuple(extras),
     )
@@ -415,28 +393,19 @@ def control_properties(spec: ControlSpec) -> list[PropertyEntry]:
         PropertyEntry("metric_key", spec.metric_key),
         PropertyEntry("operator", spec.operator.value),
         PropertyEntry("threshold", repr(spec.threshold)),
-        PropertyEntry("severity", spec.severity.value),
     ]
+    for name in _ENUM_PROPS:
+        entries.append(PropertyEntry(name, getattr(spec, name).value))
+        if name == "severity":
+            entries.extend(
+                PropertyEntry("lifecycle_phase", phase.value)
+                for phase in spec.phases_in_order()
+            )
     entries.extend(
-        PropertyEntry("lifecycle_phase", phase.value) for phase in spec.phases_in_order()
+        PropertyEntry(name, getattr(spec, name))
+        for name in _TEXT_PROPS
+        if getattr(spec, name) is not None
     )
-    entries.append(PropertyEntry("enforcement_mode", spec.enforcement_mode.value))
-    entries.append(PropertyEntry("evaluation_method", spec.evaluation_method.value))
-    entries.append(PropertyEntry("evaluation_window", spec.evaluation_window.value))
-    entries.append(PropertyEntry("target_type", spec.target_type.value))
-    for name in (
-        "risk_id",
-        "treatment_id",
-        "policy_id",
-        "objective_id",
-        "risk_acceptance_criteria",
-        "threshold_justification",
-        "stakeholder_consultation_ref",
-        "stratify_by",
-    ):
-        value = getattr(spec, name)
-        if value is not None:
-            entries.append(PropertyEntry(name, value))
     entries.extend(
         PropertyEntry("metric_param", f"{key}={value}")
         for key, value in spec.metric_params.items()

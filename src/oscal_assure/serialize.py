@@ -8,6 +8,7 @@ bytes come from canonical.canonical_json_bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import datetime
 
 from .canonical import (
@@ -224,15 +225,12 @@ def determinize(
         mapping[old] = new
         return new
 
+    def ref(old: str) -> str:
+        return mapping.get(old, old)
+
     if isinstance(doc, AssessmentPlan):
         return (
-            AssessmentPlan(
-                uuid=assign(doc.uuid, "assessment-plan"),
-                title=doc.title,
-                version=doc.version,
-                last_modified=instant,
-                controls=doc.controls,
-            ),
+            replace(doc, uuid=assign(doc.uuid, "assessment-plan"), last_modified=instant),
             mapping,
         )
 
@@ -240,70 +238,48 @@ def determinize(
         blocks = []
         for b, block in enumerate(doc.results):
             observations = tuple(
-                Observation(
+                replace(
+                    obs,
                     uuid=assign(
                         obs.uuid,
                         f"results[{b}]/observations[{i}]/{obs.relevant_control_id}"
                         f"/{obs.stratum or ''}",
                     ),
-                    title=obs.title,
-                    description=obs.description,
-                    method=obs.method,
-                    observed_value=obs.observed_value,
                     collected_at=instant,
-                    relevant_control_id=obs.relevant_control_id,
-                    per_group=obs.per_group,
-                    stratum=obs.stratum,
-                    excluded_rows=obs.excluded_rows,
-                    remarks=obs.remarks,
                 )
                 for i, obs in enumerate(block.observations)
             )
             findings = tuple(
-                Finding(
-                    uuid=assign(
-                        f.uuid, f"results[{b}]/findings[{i}]/{f.target_control_id}"
-                    ),
-                    title=f.title,
-                    target_control_id=f.target_control_id,
-                    status=f.status,
-                    related_observation_uuids=tuple(
-                        mapping.get(ref, ref) for ref in f.related_observation_uuids
-                    ),
-                    remarks=f.remarks,
+                replace(
+                    f,
+                    uuid=assign(f.uuid, f"results[{b}]/findings[{i}]/{f.target_control_id}"),
+                    related_observation_uuids=tuple(map(ref, f.related_observation_uuids)),
                 )
                 for i, f in enumerate(block.findings)
             )
             risks = tuple(
-                Risk(
+                replace(
+                    r,
                     uuid=assign(r.uuid, f"results[{b}]/risks[{i}]"),
-                    title=r.title,
-                    status=r.status,
-                    facets=r.facets,
-                    linked_finding_uuid=mapping.get(
-                        r.linked_finding_uuid, r.linked_finding_uuid
-                    ),
-                    risk_id_ref=r.risk_id_ref,
+                    linked_finding_uuid=ref(r.linked_finding_uuid),
                 )
                 for i, r in enumerate(block.risks)
             )
             blocks.append(
-                ResultBlock(
+                replace(
+                    block,
                     uuid=assign(block.uuid, f"results[{b}]"),
-                    title=block.title,
                     start=instant,
                     end=instant,
                     observations=observations,
                     findings=findings,
                     risks=risks,
-                    reviewed_control_ids=block.reviewed_control_ids,
                 )
             )
         return (
-            AssessmentResults(
+            replace(
+                doc,
                 uuid=assign(doc.uuid, "assessment-results"),
-                title=doc.title,
-                version=doc.version,
                 last_modified=instant,
                 results=tuple(blocks),
             ),
@@ -312,23 +288,17 @@ def determinize(
 
     if isinstance(doc, PoamDocument):
         items = tuple(
-            PoamItem(
+            replace(
+                item,
                 uuid=assign(item.uuid, f"poam-items[{i}]"),
-                title=item.title,
-                description=item.description,
-                related_risk_uuid=mapping.get(
-                    item.related_risk_uuid, item.related_risk_uuid
-                ),
-                status=item.status,
-                treatment_id_ref=item.treatment_id_ref,
+                related_risk_uuid=ref(item.related_risk_uuid),
             )
             for i, item in enumerate(doc.poam_items)
         )
         return (
-            PoamDocument(
+            replace(
+                doc,
                 uuid=assign(doc.uuid, "plan-of-action-and-milestones"),
-                title=doc.title,
-                version=doc.version,
                 last_modified=instant,
                 poam_items=items,
             ),
@@ -379,11 +349,48 @@ def serialize_canonical(
 def _load_json(source: bytes) -> dict:
     try:
         document = json.loads(source.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise MalformedDocument("document root must be an object")
     return document
+
+
+def _body(document: dict, root: str) -> dict:
+    if not isinstance(document.get(root), dict):
+        raise MalformedDocument(f"document root must contain {root!r} as an object")
+    return document[root]
+
+
+def _field(payload: dict, key: str, kind: type[dict] | type[list]):
+    """payload[key] checked to be an object (kind=dict) or a list; a
+    missing or empty value reads as empty."""
+    value = payload.get(key) or kind()
+    if not isinstance(value, kind):
+        raise MalformedDocument(
+            f"{key!r} must be {'an object' if kind is dict else 'a list'}"
+        )
+    return value
+
+
+def _objects(payload: dict, key: str) -> list[dict]:
+    """payload[key] checked to be a list of objects."""
+    items = _field(payload, key, list)
+    if not all(isinstance(item, dict) for item in items):
+        raise MalformedDocument(f"every entry of {key!r} must be an object")
+    return items
+
+
+def _parsed(parse, text: str, what: str):
+    """parse(text), with a parse failure reported as a malformed document."""
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedDocument(f"bad {what} {text!r}") from exc
+
+
+def _timestamp(payload: dict, key: str) -> datetime:
+    return _parsed(parse_timestamp, str(payload.get(key, "1970-01-01T00:00:00Z")), key)
 
 
 def _prop_map(raw: list | None) -> dict[str, str]:
@@ -404,23 +411,18 @@ def _prop_values(raw: list | None, name: str) -> list[str]:
 
 
 def _observation_from_dict(payload: dict) -> Observation:
-    props = payload.get("props") or []
+    props = _field(payload, "props", list)
     prop_map = _prop_map(props)
     observed: float | None = None
     if "observed-value" in prop_map:
-        try:
-            observed = float(prop_map["observed-value"])
-        except ValueError as exc:
-            raise MalformedDocument(
-                f"bad observed-value {prop_map['observed-value']!r}"
-            ) from exc
+        observed = _parsed(float, prop_map["observed-value"], "observed-value")
     per_group: dict[str, float] = {}
     for encoded in _prop_values(props, "group-rate"):
         label, sep, rate = encoded.rpartition("=")
         if not sep:
             raise MalformedDocument(f"bad group-rate entry {encoded!r}")
-        per_group[label] = float(rate)
-    methods = payload.get("methods") or ["TEST"]
+        per_group[label] = _parsed(float, rate, "group-rate")
+    methods = _field(payload, "methods", list) or ["TEST"]
     try:
         method = ObservationMethod(str(methods[0]))
     except ValueError as exc:
@@ -431,18 +433,18 @@ def _observation_from_dict(payload: dict) -> Observation:
         description=str(payload.get("description", "")),
         method=method,
         observed_value=observed,
-        collected_at=parse_timestamp(str(payload.get("collected", "1970-01-01T00:00:00Z"))),
+        collected_at=_timestamp(payload, "collected"),
         relevant_control_id=prop_map.get("control-id", ""),
         per_group=per_group or None,
         stratum=prop_map.get("stratum"),
-        excluded_rows=int(prop_map.get("excluded-rows", "0")),
+        excluded_rows=_parsed(int, prop_map.get("excluded-rows", "0"), "excluded-rows"),
         remarks=payload.get("remarks"),
     )
 
 
 def _finding_from_dict(payload: dict) -> Finding:
-    target = payload.get("target") or {}
-    state = ((target.get("status") or {}).get("state", ""))
+    target = _field(payload, "target", dict)
+    state = _field(target, "status", dict).get("state", "")
     try:
         status = FindingStatus(str(state))
     except ValueError as exc:
@@ -454,7 +456,7 @@ def _finding_from_dict(payload: dict) -> Finding:
         status=status,
         related_observation_uuids=tuple(
             str(ref.get("observation-uuid", ""))
-            for ref in payload.get("related-observations") or []
+            for ref in _field(payload, "related-observations", list)
             if isinstance(ref, dict)
         ),
         remarks=payload.get("remarks"),
@@ -462,11 +464,10 @@ def _finding_from_dict(payload: dict) -> Finding:
 
 
 def _risk_from_dict(payload: dict) -> Risk:
-    props = payload.get("props") or []
-    prop_map = _prop_map(props)
+    prop_map = _prop_map(_field(payload, "props", list))
     facets: list[tuple[str, str]] = []
-    for characterization in payload.get("characterizations") or []:
-        for facet in (characterization or {}).get("facets") or []:
+    for characterization in _objects(payload, "characterizations"):
+        for facet in _field(characterization, "facets", list):
             if isinstance(facet, dict) and "name" in facet:
                 facets.append((str(facet["name"]), str(facet.get("value", ""))))
     try:
@@ -485,33 +486,28 @@ def _risk_from_dict(payload: dict) -> Risk:
 
 def parse_results_document(source: bytes) -> AssessmentResults:
     """Parse an assessment-results JSON document back into the model."""
-    document = _load_json(source)
-    if "assessment-results" not in document:
-        raise MalformedDocument("document root must contain 'assessment-results'")
-    body = document["assessment-results"]
-    metadata = body.get("metadata") or {}
+    body = _body(_load_json(source), "assessment-results")
+    metadata = _field(body, "metadata", dict)
     blocks = []
-    for payload in body.get("results") or []:
-        selections = (payload.get("reviewed-controls") or {}).get("control-selections") or []
+    for payload in _objects(body, "results"):
+        selections = _objects(_field(payload, "reviewed-controls", dict), "control-selections")
         reviewed = tuple(
             str(entry.get("control-id", ""))
             for selection in selections
-            for entry in (selection or {}).get("include-controls") or []
+            for entry in _field(selection, "include-controls", list)
             if isinstance(entry, dict)
         )
         blocks.append(
             ResultBlock(
                 uuid=str(payload.get("uuid", "")),
                 title=str(payload.get("title", "")),
-                start=parse_timestamp(str(payload.get("start", "1970-01-01T00:00:00Z"))),
-                end=parse_timestamp(str(payload.get("end", "1970-01-01T00:00:00Z"))),
+                start=_timestamp(payload, "start"),
+                end=_timestamp(payload, "end"),
                 observations=tuple(
-                    _observation_from_dict(o) for o in payload.get("observations") or []
+                    map(_observation_from_dict, _objects(payload, "observations"))
                 ),
-                findings=tuple(
-                    _finding_from_dict(f) for f in payload.get("findings") or []
-                ),
-                risks=tuple(_risk_from_dict(r) for r in payload.get("risks") or []),
+                findings=tuple(map(_finding_from_dict, _objects(payload, "findings"))),
+                risks=tuple(map(_risk_from_dict, _objects(payload, "risks"))),
                 reviewed_control_ids=reviewed,
             )
         )
@@ -519,25 +515,18 @@ def parse_results_document(source: bytes) -> AssessmentResults:
         uuid=str(body.get("uuid", "")),
         title=str(metadata.get("title", "")),
         version=str(metadata.get("version", "")),
-        last_modified=parse_timestamp(
-            str(metadata.get("last-modified", "1970-01-01T00:00:00Z"))
-        ),
+        last_modified=_timestamp(metadata, "last-modified"),
         results=tuple(blocks),
     )
 
 
 def parse_poam_document(source: bytes) -> PoamDocument:
     """Parse a POA&M JSON document back into the model."""
-    document = _load_json(source)
-    if "plan-of-action-and-milestones" not in document:
-        raise MalformedDocument(
-            "document root must contain 'plan-of-action-and-milestones'"
-        )
-    body = document["plan-of-action-and-milestones"]
-    metadata = body.get("metadata") or {}
+    body = _body(_load_json(source), "plan-of-action-and-milestones")
+    metadata = _field(body, "metadata", dict)
     items = []
-    for payload in body.get("poam-items") or []:
-        prop_map = _prop_map(payload.get("props"))
+    for payload in _objects(body, "poam-items"):
+        prop_map = _prop_map(_field(payload, "props", list))
         try:
             status = RiskStatus(prop_map.get("status", ""))
         except ValueError as exc:
@@ -558,8 +547,6 @@ def parse_poam_document(source: bytes) -> PoamDocument:
         uuid=str(body.get("uuid", "")),
         title=str(metadata.get("title", "")),
         version=str(metadata.get("version", "")),
-        last_modified=parse_timestamp(
-            str(metadata.get("last-modified", "1970-01-01T00:00:00Z"))
-        ),
+        last_modified=_timestamp(metadata, "last-modified"),
         poam_items=tuple(items),
     )

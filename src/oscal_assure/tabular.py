@@ -20,6 +20,7 @@ from .errors import (
     NonCategoricalColumn,
     RaggedRows,
     UndecodableBytes,
+    UnknownPositiveLabel,
 )
 
 Cell = int | float | bool | str | None
@@ -181,12 +182,22 @@ def dump_table(table: DataTable) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def _check_binary(table: DataTable, name: str, role: str) -> None:
+def _check_binary(table: DataTable, name: str, role: str, positive: str) -> str:
+    """Check that a column is binary and, when it holds two values, that
+    the positive label is one of them. Returns the label as cell_token
+    spells it (boolean labels match case-insensitively)."""
     distinct = {cell_token(v) for v in table.column(name) if v is not None}
     if len(distinct) > 2:
         raise NonBinaryTarget(
             f"{role} column {name!r} has {len(distinct)} distinct values, expected <= 2"
         )
+    token = positive.lower() if table.column_type(name) is ColumnType.BOOLEAN else positive
+    if len(distinct) == 2 and token not in distinct:
+        raise UnknownPositiveLabel(
+            f"{role} positive label {positive!r} is not a value of column {name!r} "
+            f"(values: {', '.join(sorted(distinct))})"
+        )
+    return token
 
 
 def bind_roles(
@@ -204,11 +215,13 @@ def bind_roles(
         if name is not None and not table.has_column(name):
             raise MissingColumn(f"bound column {name!r} not in table")
 
-    _check_binary(table, target, "target")
+    target_positive = _check_binary(table, target, "target", target_positive)
     if prediction is not None:
         if prediction_positive is None:
             raise ValueError("prediction binding requires an explicit positive label")
-        _check_binary(table, prediction, "prediction")
+        prediction_positive = _check_binary(
+            table, prediction, "prediction", prediction_positive
+        )
 
     if weight is not None:
         for i, value in enumerate(table.column(weight)):

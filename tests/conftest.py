@@ -45,6 +45,21 @@ def table_from_rows(header: list[str], rows: list[list[str]]):
     return load_table(buffer.getvalue().encode("utf-8"))
 
 
+MEDICAL_HEADER = ["age_cohort", "gender", "truth", "pred"]
+
+
+def medical_rows() -> list[list[str]]:
+    """10 age cohorts x 2 genders, each cell holding one TP, FN, FP, TN row."""
+    rows = []
+    for cohort in (f"{d}0-{d}9" for d in range(10)):
+        for gender in ("f", "m"):
+            rows.append([cohort, gender, "lesion", "lesion"])
+            rows.append([cohort, gender, "lesion", "clear"])
+            rows.append([cohort, gender, "clear", "lesion"])
+            rows.append([cohort, gender, "clear", "clear"])
+    return rows
+
+
 def make_control(
     control_id: str,
     metric_key: str = "class_imbalance_ratio",
@@ -190,15 +205,7 @@ def medical_plan() -> AssessmentPlan:
 def medical_ctx() -> MetricContext:
     """80-row prediction table: 10 age cohorts x 2 genders, each cell
     holding one TP, FN, FP, TN row."""
-    cohorts = [f"{d}0-{d}9" for d in range(10)]
-    rows = []
-    for cohort in cohorts:
-        for gender in ("f", "m"):
-            rows.append([cohort, gender, "lesion", "lesion"])
-            rows.append([cohort, gender, "lesion", "clear"])
-            rows.append([cohort, gender, "clear", "lesion"])
-            rows.append([cohort, gender, "clear", "clear"])
-    table = table_from_rows(["age_cohort", "gender", "truth", "pred"], rows)
+    table = table_from_rows(MEDICAL_HEADER, medical_rows())
     bindings = bind_roles(
         table, "truth", "lesion", prediction="pred", prediction_positive="lesion"
     )

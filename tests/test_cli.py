@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DEMO_DIR, FIG2_PLAN, SCENARIO_A_DATA, SCENARIO_A_PLAN
+from oscal_assure import cli
 from oscal_assure.cli import main
 
 MONITORING_PLAN = """\
@@ -184,6 +185,26 @@ def test_enforce_missing_data_exits_one(tmp_path):
     )
 
 
+def test_enforce_mistyped_positive_label_exits_one_without_results(tmp_path, capsys):
+    # the demo's labels are good/bad; "Good" used to pass every control
+    args = [
+        "enforce",
+        str(SCENARIO_A_PLAN),
+        str(SCENARIO_A_DATA),
+        "--target",
+        "class:Good",
+        "--group",
+        "gender",
+        "--prediction",
+        "prediction:Good",
+        "--out",
+        str(tmp_path),
+    ]
+    assert main(args) == 1
+    assert "'Good' is not a value of column 'class'" in capsys.readouterr().err
+    assert not (tmp_path / "assessment-results.oscal.json").exists()
+
+
 def test_enforce_bad_binding_syntax_exits_one(tmp_path, capsys):
     assert (
         main(
@@ -279,6 +300,27 @@ def test_run_hash_only_monitoring_plan_skips_but_handshakes(tmp_path, capsys):
     run_dir = tmp_path / "vault" / "runs" / "nightly"
     handshake = json.loads((run_dir / "handshake.json").read_text())
     assert handshake["handshake_ok"] is True
+
+
+def test_run_refuses_data_that_changed_after_it_was_loaded(tmp_path, capsys, monkeypatch):
+    # the recorded digest must be of the bytes that were evaluated
+    data = tmp_path / "data.csv"
+    data.write_bytes(SCENARIO_A_DATA.read_bytes())
+    original_load = cli.load_table
+
+    def load_then_rewrite(source, *args, **kwargs):
+        table = original_load(source, *args, **kwargs)
+        data.write_bytes(source.replace(b"female", b"male"))
+        return table
+
+    monkeypatch.setattr(cli, "load_table", load_then_rewrite)
+    args = run_args(tmp_path / "vault", "--mode-override", "monitor")
+    args[args.index(str(SCENARIO_A_DATA))] = str(data)
+    assert main(args) == 1
+    assert "input data changed during the run" in capsys.readouterr().err
+    run_dir = tmp_path / "vault" / "runs" / "credit-scoring"
+    assert not (run_dir / "hashes.json").exists()
+    assert not (run_dir / "assessment-results.oscal.json").exists()
 
 
 def test_run_unwritable_vault_exits_one(tmp_path):
@@ -398,6 +440,46 @@ def test_report_structurally_invalid_results_exits_three(pre_results_dir, capsys
 
 def test_report_missing_file_exits_one(tmp_path):
     assert main(["report", str(tmp_path / "absent.json")]) == 1
+
+
+def _first_observation(document: dict) -> dict:
+    return document["assessment-results"]["results"][0]["observations"][0]
+
+
+def _set_group_rate(document: dict) -> None:
+    for block in document["assessment-results"]["results"]:
+        for obs in block["observations"]:
+            for prop in obs["props"]:
+                if prop["name"] == "group-rate":
+                    prop["value"] = "female=abc"
+                    return
+    raise AssertionError("no group-rate in the fixture")
+
+
+MALFORMED_RESULTS = {
+    "group-rate": _set_group_rate,
+    "last-modified": lambda d: d["assessment-results"]["metadata"].update(
+        {"last-modified": "yesterday"}
+    ),
+    "excluded-rows-word": lambda d: _first_observation(d)["props"].append(
+        {"name": "excluded-rows", "value": "x"}
+    ),
+    "excluded-rows-decimal": lambda d: _first_observation(d)["props"].append(
+        {"name": "excluded-rows", "value": "1.5"}
+    ),
+    "non-object-result": lambda d: d["assessment-results"]["results"].append(5),
+    "list-body": lambda d: d.update({"assessment-results": [d["assessment-results"]]}),
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_RESULTS.values(), ids=MALFORMED_RESULTS.keys())
+def test_report_malformed_results_exits_one(pre_results_dir, capsys, corrupt):
+    document = json.loads((pre_results_dir / "assessment-results.oscal.json").read_text())
+    corrupt(document)
+    broken = pre_results_dir / "broken.json"
+    broken.write_text(json.dumps(document))
+    assert main(["report", str(broken)]) == 1
+    assert "cannot parse results" in capsys.readouterr().err
 
 
 # --- trace ----------------------------------------------------------------------

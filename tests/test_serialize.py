@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_structurally_valid
 from oscal_assure import (
@@ -14,7 +16,7 @@ from oscal_assure import (
     parse_results_document,
     serialize_canonical,
 )
-from oscal_assure.errors import SerializationFailure
+from oscal_assure.errors import MalformedDocument, OscalAssureError, SerializationFailure
 from oscal_assure.plan import LifecyclePhase
 
 
@@ -141,3 +143,83 @@ def test_invalid_document_raises_serialization_failure(pre_report):
     bad = dataclasses.replace(results, results=(bad_block,))
     with pytest.raises(SerializationFailure):
         serialize_canonical(bad)
+
+
+# --- parsers on malformed input ---------------------------------------------------
+
+#: Keys and values the parsers look for, so generated documents reach deep paths.
+VOCABULARY = [
+    "uuid", "metadata", "title", "version", "last-modified", "results", "start",
+    "end", "reviewed-controls", "control-selections", "include-controls",
+    "control-id", "observations", "findings", "risks", "props", "name", "value",
+    "methods", "collected", "remarks", "description", "target", "target-id",
+    "status", "state", "related-observations", "observation-uuid",
+    "characterizations", "facets", "poam-items", "observed-value", "group-rate",
+    "excluded-rows", "stratum", "linked-finding", "risk-id", "related-risk",
+    "treatment-id", "TEST", "open", "satisfied", "a=1", "1970-01-01T00:00:00Z",
+]
+words = st.sampled_from(VOCABULARY) | st.text(max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | words,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(words, children, max_size=5),
+    max_leaves=40,
+)
+PARSERS = {
+    "assessment-results": parse_results_document,
+    "plan-of-action-and-milestones": parse_poam_document,
+}
+
+
+def parses_or_raises_package_error(root: str, body) -> None:
+    source = json.dumps({root: body}).encode("utf-8")
+    try:
+        PARSERS[root](source)
+    except OscalAssureError:
+        pass
+
+
+@pytest.mark.parametrize("parse", PARSERS.values(), ids=PARSERS.keys())
+def test_parsers_reject_json_nested_past_the_recursion_limit(parse):
+    with pytest.raises(MalformedDocument, match="invalid JSON"):
+        parse(b"[" * 100_000 + b"]" * 100_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PARSERS)), json_values)
+def test_parsers_return_or_raise_package_error_for_any_body(root, body):
+    parses_or_raises_package_error(root, body)
+
+
+@pytest.fixture(scope="module")
+def demo_documents(scenario_a_plan, scenario_a_ctx):
+    report = enforce_phase(
+        scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, default_registry()
+    )
+    results, mapping = determinize(report.assessment_results)
+    poam, _ = determinize(report.poam, reference_map=mapping)
+    return {
+        root: json.loads(serialize_canonical(doc))[root]
+        for root, doc in (
+            ("assessment-results", results),
+            ("plan-of-action-and-milestones", poam),
+        )
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PARSERS)), st.data())
+def test_parsers_return_or_raise_package_error_for_any_edit_of_a_real_document(
+    demo_documents, root, data
+):
+    body = json.loads(json.dumps(demo_documents[root]))
+    node = body
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            node[key] = data.draw(json_values)
+            break
+        node = child
+    parses_or_raises_package_error(root, body)

@@ -12,7 +12,9 @@ from oscal_assure.errors import (
     NonCategoricalColumn,
     RaggedRows,
     UndecodableBytes,
+    UnknownPositiveLabel,
 )
+from oscal_assure.metrics import MetricContext, accuracy
 from oscal_assure.tabular import ColumnType
 
 
@@ -98,6 +100,31 @@ def test_all_negative_target_binds():
     table = table_from_rows(["y", "p"], [["0", "0"], ["0", "1"]])
     bindings = bind_roles(table, "y", "1", prediction="p", prediction_positive="1")
     assert bindings.prediction == "p"
+
+
+@pytest.mark.parametrize(
+    "target, prediction",
+    [(("y", "Good"), ("p", "good")), (("y", "good"), ("p", "Good"))],
+    ids=["target", "prediction"],
+)
+def test_bind_roles_rejects_positive_label_absent_from_two_valued_column(target, prediction):
+    # a mistyped label would count every row as negative and pass controls
+    table = table_from_rows(["y", "p"], [["good", "bad"], ["bad", "good"]])
+    with pytest.raises(UnknownPositiveLabel, match="Good"):
+        bind_roles(table, *target, prediction=prediction[0], prediction_positive=prediction[1])
+
+
+def test_boolean_positive_label_matches_case_insensitively():
+    table = table_from_rows(
+        ["y", "p"], [["true", "true"], ["false", "true"], ["TRUE", "False"]]
+    )
+    assert table.column_types == (ColumnType.BOOLEAN, ColumnType.BOOLEAN)
+    lower = bind_roles(table, "y", "true", prediction="p", prediction_positive="true")
+    upper = bind_roles(table, "y", "True", prediction="p", prediction_positive="TRUE")
+    assert upper == lower
+    assert accuracy(MetricContext(table, upper)).value == 1 / 3
+    with pytest.raises(UnknownPositiveLabel):
+        bind_roles(table, "y", "yes")
 
 
 def test_stratify_partitions_by_label():
