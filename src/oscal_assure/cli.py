@@ -7,6 +7,7 @@ failed, 3 invalid policy document or structurally invalid results.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -240,7 +241,7 @@ def cmd_run(args) -> int:
 
     registry = default_registry()
     try:
-        table = bindings = None
+        table = bindings = session = None
         if args.data:
             data = Path(args.data).read_bytes()
             table = load_table(data)
@@ -295,6 +296,11 @@ def cmd_run(args) -> int:
             seed_namespace=args.seed_namespace,
         )
     except (OscalAssureError, OSError) as exc:
+        if session is not None:
+            # a failed run leaves no empty run directory to push the next
+            # run with this id onto a suffix; one with files is kept
+            with contextlib.suppress(OSError):
+                session.run_dir.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -264,6 +265,31 @@ def _build_risk(
     )
 
 
+def _evaluate_strata(
+    spec: ControlSpec, ctx: MetricContext, registry: MetricRegistry
+) -> Iterator[tuple[str | None, MetricOutcome | OscalAssureError]]:
+    """Yield each stratum's label (None when unstratified) with the metric's
+    outcome or the error it raised. A stratification that fails is one
+    unlabelled stratum whose evaluation failed, so the phase goes on."""
+    if spec.stratify_by is None:
+        strata = [(None, ctx)]
+    else:
+        try:
+            strata = [
+                (label, dataclasses.replace(ctx, table=table))
+                for label, table in stratify(ctx.table, spec.stratify_by)
+            ]
+        except OscalAssureError as exc:
+            yield None, exc
+            return
+    for label, stratum_ctx in strata:
+        try:
+            result = registry.evaluate(spec.metric_key, stratum_ctx)
+        except OscalAssureError as exc:
+            result = exc
+        yield label, result
+
+
 def evaluate_control(
     spec: ControlSpec,
     ctx: MetricContext,
@@ -283,54 +309,22 @@ def evaluate_control(
     if spec.evaluation_window is not EvaluationWindow.PER_RUN:
         return _skip_verdict(spec, SkipReason.WINDOW_NOT_EXECUTABLE, clock)
 
-    spec_ctx = control_context(spec, ctx)
-    stratification_error: str | None = None
-    if spec.stratify_by is not None:
-        try:
-            strata = [
-                (label, dataclasses.replace(spec_ctx, table=table))
-                for label, table in stratify(spec_ctx.table, spec.stratify_by)
-            ]
-        except OscalAssureError as exc:
-            # fail closed: a broken stratification must not crash the phase
-            stratification_error = str(exc)
-            strata = []
-    else:
-        strata = [(None, spec_ctx)]
-
     observations: list[Observation] = []
     failures: list[tuple[float | None, MetricOutcome | None, str | None]] = []
     evaluation_error = False
-    if stratification_error is not None:
-        evaluation_error = True
-        observations.append(
-            Observation(
-                uuid=random_uuid(),
-                title=f"{spec.metric_key} ({spec.control_id})",
-                description=spec.description,
-                method=ObservationMethod.TEST,
-                observed_value=None,
-                collected_at=clock(),
-                relevant_control_id=spec.control_id,
-                remarks=f"evaluation-error: {stratification_error}",
-            )
-        )
-        failures.append((None, None, None))
-    for stratum_label, stratum_ctx in strata:
-        outcome: MetricOutcome | None = None
-        remarks: str | None = None
-        value: float | None = None
-        try:
-            outcome = registry.evaluate(spec.metric_key, stratum_ctx)
-            value = outcome.value
-            passed = compare(value, spec.operator, spec.threshold)
-        except OscalAssureError as exc:
-            passed = False
+    for stratum_label, result in _evaluate_strata(spec, control_context(spec, ctx), registry):
+        if isinstance(result, OscalAssureError):
             evaluation_error = True
-            remarks = f"evaluation-error: {exc}"
-        if outcome is not None and outcome.excluded_rows:
-            note = f"excluded {outcome.excluded_rows} row(s) with missing bound values"
-            remarks = f"{remarks}; {note}" if remarks else note
+            outcome, value, passed = None, None, False
+            remarks: str | None = f"evaluation-error: {result}"
+        else:
+            outcome, value = result, result.value
+            passed = compare(value, spec.operator, spec.threshold)
+            remarks = (
+                f"excluded {outcome.excluded_rows} row(s) with missing bound values"
+                if outcome.excluded_rows
+                else None
+            )
         observations.append(
             Observation(
                 uuid=random_uuid(),

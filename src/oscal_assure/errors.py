@@ -105,10 +105,6 @@ class NotComputable(MetricError):
     """The metric is undefined on this data (empty group, zero denominator)."""
 
 
-class EmptyCell(MetricError):
-    """An externally supplied (group, outcome) cell table has a zero cell."""
-
-
 # --- enforcement -------------------------------------------------------------
 
 

@@ -139,16 +139,20 @@ def open_session(
     except OSError as exc:
         raise UnwritableVault(f"cannot create vault at {root}: {exc}") from exc
 
+    # mkdir is the claim: a concurrent run that took the name first makes
+    # it raise FileExistsError, and this run tries the next suffix
     effective = run_id
     suffix = 2
-    while (runs_dir / effective).exists():
-        effective = f"{run_id}-{suffix}"
-        suffix += 1
-    run_dir = runs_dir / effective
-    try:
-        run_dir.mkdir()
-    except OSError as exc:
-        raise UnwritableVault(f"cannot create run directory {run_dir}: {exc}") from exc
+    while True:
+        run_dir = runs_dir / effective
+        try:
+            run_dir.mkdir()
+            break
+        except FileExistsError:
+            effective = f"{run_id}-{suffix}"
+            suffix += 1
+        except OSError as exc:
+            raise UnwritableVault(f"cannot create run directory {run_dir}: {exc}") from exc
 
     return RunSession(
         run_id=effective, vault_root=root, run_dir=run_dir, started_at=started

@@ -9,7 +9,9 @@ excluded and counted on the outcome.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
@@ -149,24 +151,44 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
+def _crosstab(
+    columns: tuple[tuple[Cell, ...], ...], weights: tuple[Cell, ...] | None
+) -> tuple[dict[tuple[str, ...], list[float]], int]:
+    """Group rows by the cell tokens of `columns`.
+
+    Returns {token tuple: [row weight, ...]} (1.0 per row when unweighted)
+    and the number of rows excluded for a missing value or weight. Equal
+    value tuples are counted first, so cell_token runs once per distinct
+    tuple; weights stay out of that key because they are often all distinct.
+    """
+    counts = Counter(zip(*columns))
+    tokens = {values: tuple(map(cell_token, values)) for values in counts if None not in values}
+    cells: dict[tuple[str, ...], list[float]] = {}
+    excluded = 0
+    if weights is None:
+        for values, n in counts.items():
+            if values in tokens:
+                cells.setdefault(tokens[values], []).extend(repeat(1.0, n))
+            else:
+                excluded += n
+        return cells, excluded
+    for values, w in zip(zip(*columns), weights):
+        key = tokens.get(values)
+        if key is None or w is None:
+            excluded += 1
+        else:
+            cells.setdefault(key, []).append(float(w))
+    return cells, excluded
+
+
 # --- built-in metrics --------------------------------------------------------
 
 
 def class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     """Minority class mass over majority class mass on the target column."""
     b = _bindings(ctx)
-    target = ctx.table.column(b.target)
-    weights = _weights(ctx)
-
-    masses: dict[str, list[float]] = {}
-    excluded = 0
-    for i, value in enumerate(target):
-        w = 1.0 if weights is None else weights[i]
-        if value is None or w is None:
-            excluded += 1
-            continue
-        masses.setdefault(cell_token(value), []).append(float(w))
-    totals = {label: math.fsum(parts) for label, parts in masses.items()}
+    cells, excluded = _crosstab((ctx.table.column(b.target),), _weights(ctx))
+    totals = {label: math.fsum(parts) for (label,), parts in cells.items()}
     if len(totals) < 2:
         raise NotComputable(
             f"class imbalance needs both classes present, saw {sorted(totals) or 'none'}"
@@ -182,26 +204,13 @@ def class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     )
 
 
-def group_positive_rates(ctx: MetricContext, on: str | None = None) -> MetricOutcome:
+def group_positive_rates(ctx: MetricContext) -> MetricOutcome:
     """Positive-label fraction per group; value is the maximum rate."""
-    ctx = ctx if on is None else MetricContext(ctx.table, ctx.bindings, ctx.params, on)
     subject, positive = _subject(ctx)
-    group = _group_column(ctx)
-    weights = _weights(ctx)
-
+    cells, excluded = _crosstab((_group_column(ctx), subject), _weights(ctx))
     mass: dict[str, list[float]] = {}
-    positive_mass: dict[str, list[float]] = {}
-    excluded = 0
-    for i in range(ctx.table.row_count):
-        g, y = group[i], subject[i]
-        w = 1.0 if weights is None else weights[i]
-        if g is None or y is None or w is None:
-            excluded += 1
-            continue
-        label = cell_token(g)
-        mass.setdefault(label, []).append(float(w))
-        if cell_token(y) == positive:
-            positive_mass.setdefault(label, []).append(float(w))
+    for (label, _), parts in cells.items():
+        mass.setdefault(label, []).extend(parts)
     if not mass:
         raise NotComputable("no rows with group and outcome present")
 
@@ -211,7 +220,7 @@ def group_positive_rates(ctx: MetricContext, on: str | None = None) -> MetricOut
         if total == 0:
             raise NotComputable(f"group {label!r} has zero total weight")
         per_group[label] = _finite(
-            math.fsum(positive_mass.get(label, [])) / total, f"rate of group {label!r}"
+            math.fsum(cells.get((label, positive), [])) / total, f"rate of group {label!r}"
         )
     max_group = max(per_group, key=lambda k: (per_group[k], k))
     min_group = min(per_group, key=lambda k: (per_group[k], k))
@@ -223,13 +232,13 @@ def group_positive_rates(ctx: MetricContext, on: str | None = None) -> MetricOut
     )
 
 
-def disparate_impact(ctx: MetricContext, on: str | None = None) -> MetricOutcome:
+def disparate_impact(ctx: MetricContext) -> MetricOutcome:
     """Lowest over highest group positive rate (Four-Fifths Rule form).
 
     A `privileged` param switches to unprivileged-rate / privileged-rate,
     where the unprivileged rate is the minimum over the other groups.
     """
-    rates = group_positive_rates(ctx, on)
+    rates = group_positive_rates(ctx)
     per_group = rates.per_group or {}
     privileged = ctx.params.get("privileged")
     if privileged is not None:
@@ -258,9 +267,9 @@ def disparate_impact(ctx: MetricContext, on: str | None = None) -> MetricOutcome
     )
 
 
-def demographic_parity_difference(ctx: MetricContext, on: str | None = None) -> MetricOutcome:
+def demographic_parity_difference(ctx: MetricContext) -> MetricOutcome:
     """Largest gap between group positive rates."""
-    rates = group_positive_rates(ctx, on)
+    rates = group_positive_rates(ctx)
     per_group = rates.per_group or {}
     detail = dict(rates.detail or {})
     gap = per_group[detail["max-group"]] - per_group[detail["min-group"]]
@@ -276,25 +285,18 @@ def _confusion_counts(ctx: MetricContext) -> tuple[float, float, float, float, i
     b = _bindings(ctx)
     if b.prediction is None or b.prediction_positive is None:
         raise MissingRole("confusion metrics need a bound prediction column")
-    target = ctx.table.column(b.target)
-    prediction = ctx.table.column(b.prediction)
-    weights = _weights(ctx)
-
+    cells, excluded = _crosstab(
+        (ctx.table.column(b.target), ctx.table.column(b.prediction)), _weights(ctx)
+    )
     tp: list[float] = []
     tn: list[float] = []
     fp: list[float] = []
     fn: list[float] = []
-    excluded = 0
-    for i in range(ctx.table.row_count):
-        y, p = target[i], prediction[i]
-        w = 1.0 if weights is None else weights[i]
-        if y is None or p is None or w is None:
-            excluded += 1
-            continue
-        actual = cell_token(y) == b.target_positive
-        predicted = cell_token(p) == b.prediction_positive
+    for (y, p), parts in cells.items():
+        actual = y == b.target_positive
+        predicted = p == b.prediction_positive
         bucket = tp if (actual and predicted) else fn if actual else fp if predicted else tn
-        bucket.append(float(w))
+        bucket.extend(parts)
     return math.fsum(tp), math.fsum(tn), math.fsum(fp), math.fsum(fn), excluded
 
 
@@ -355,33 +357,24 @@ def group_reweight(ctx: MetricContext) -> list[float]:
     b = _bindings(ctx)
     group = _group_column(ctx)
     target = ctx.table.column(b.target)
-
+    cells, _ = _crosstab((group, target), None)
+    if not cells:
+        raise NotComputable("no rows with group and outcome present")
     group_counts: dict[str, int] = {}
     class_counts: dict[str, int] = {}
-    cell_counts: dict[tuple[str, str], int] = {}
-    observed = 0
-    for i in range(ctx.table.row_count):
-        g, y = group[i], target[i]
-        if g is None or y is None:
-            continue
-        observed += 1
-        gl, yl = cell_token(g), cell_token(y)
-        group_counts[gl] = group_counts.get(gl, 0) + 1
-        class_counts[yl] = class_counts.get(yl, 0) + 1
-        cell_counts[(gl, yl)] = cell_counts.get((gl, yl), 0) + 1
-    if observed == 0:
-        raise NotComputable("no rows with group and outcome present")
-
-    weights = []
-    for i in range(ctx.table.row_count):
-        g, y = group[i], target[i]
-        if g is None or y is None:
-            weights.append(1.0)
-            continue
-        gl, yl = cell_token(g), cell_token(y)
-        # w = (n_g/N)(n_y/N) / (n_gy/N) = n_g*n_y / (N*n_gy)
-        weights.append(group_counts[gl] * class_counts[yl] / (observed * cell_counts[(gl, yl)]))
-    return weights
+    for (gl, yl), parts in cells.items():
+        group_counts[gl] = group_counts.get(gl, 0) + len(parts)
+        class_counts[yl] = class_counts.get(yl, 0) + len(parts)
+    observed = sum(group_counts.values())
+    # w = (n_g/N)(n_y/N) / (n_gy/N) = n_g*n_y / (N*n_gy)
+    cell_weight = {
+        (gl, yl): group_counts[gl] * class_counts[yl] / (observed * len(parts))
+        for (gl, yl), parts in cells.items()
+    }
+    return [
+        1.0 if g is None or y is None else cell_weight[(cell_token(g), cell_token(y))]
+        for g, y in zip(group, target)
+    ]
 
 
 def default_registry() -> MetricRegistry:

@@ -215,7 +215,8 @@ def determinize(
 
     Returns the rewritten document and the old->new uuid map, so a paired
     document (POA&M referencing risks) can be rewritten consistently by
-    passing the map as reference_map.
+    passing the map as reference_map. A POA&M whose risk references the
+    map does not cover raises SerializationFailure.
     """
     instant = clock() if clock is not None else DETERMINISTIC_EPOCH
     mapping: dict[str, str] = dict(reference_map or {})
@@ -287,6 +288,13 @@ def determinize(
         )
 
     if isinstance(doc, PoamDocument):
+        unmapped = sorted({item.related_risk_uuid for item in doc.poam_items} - mapping.keys())
+        if unmapped:
+            # left as they are, these random uuids would change the bytes on every run
+            raise SerializationFailure(
+                f"POA&M refers to risk(s) {', '.join(unmapped)} that reference_map does "
+                "not map; determinize the results document first and pass its uuid map"
+            )
         items = tuple(
             replace(
                 item,
@@ -393,6 +401,13 @@ def _timestamp(payload: dict, key: str) -> datetime:
     return _parsed(parse_timestamp, str(payload.get(key, "1970-01-01T00:00:00Z")), key)
 
 
+def _remarks(payload: dict) -> str | None:
+    remarks = payload.get("remarks")
+    if remarks is not None and not isinstance(remarks, str):
+        raise MalformedDocument(f"'remarks' must be a string, got {remarks!r}")
+    return remarks
+
+
 def _prop_map(raw: list | None) -> dict[str, str]:
     """First value per prop name (multi-valued props handled separately)."""
     props: dict[str, str] = {}
@@ -438,7 +453,7 @@ def _observation_from_dict(payload: dict) -> Observation:
         per_group=per_group or None,
         stratum=prop_map.get("stratum"),
         excluded_rows=_parsed(int, prop_map.get("excluded-rows", "0"), "excluded-rows"),
-        remarks=payload.get("remarks"),
+        remarks=_remarks(payload),
     )
 
 
@@ -459,7 +474,7 @@ def _finding_from_dict(payload: dict) -> Finding:
             for ref in _field(payload, "related-observations", list)
             if isinstance(ref, dict)
         ),
-        remarks=payload.get("remarks"),
+        remarks=_remarks(payload),
     )
 
 

@@ -50,6 +50,13 @@ def cell_token(value: Cell) -> str:
 
 @dataclass(frozen=True)
 class DataTable:
+    """Typed columns of equal length.
+
+    Each column holds cells of one Python type (plus None) and no -0.0, so
+    cells that compare equal have equal cell_tokens; metrics group rows by
+    value and name the groups by token. load_table guarantees this.
+    """
+
     column_names: tuple[str, ...]
     column_types: tuple[ColumnType, ...]
     columns: tuple[tuple[Cell, ...], ...]
@@ -109,7 +116,8 @@ def _infer_column(raw: list[str | None]) -> tuple[ColumnType, tuple[Cell, ...]]:
         pass
     try:
         if present:
-            floats = {v: float(v) for v in present}
+            # + 0.0 turns -0.0 into 0.0: equal cells must have equal tokens
+            floats = {v: float(v) + 0.0 for v in present}
             return ColumnType.DECIMAL, tuple(
                 None if v is None else floats[v] for v in raw
             )

@@ -323,6 +323,28 @@ def test_run_refuses_data_that_changed_after_it_was_loaded(tmp_path, capsys, mon
     assert not (run_dir / "assessment-results.oscal.json").exists()
 
 
+def test_failed_run_leaves_no_run_directory_behind(tmp_path, monkeypatch):
+    # a run that fails after its session opened must not push the next run
+    # with the same id onto a suffix
+    lockfile = tmp_path / "requirements-lock.txt"
+    lockfile.write_text("a b c\n")
+    opened = []
+    original_open = cli.open_session
+
+    def recording_open(*args, **kwargs):
+        session = original_open(*args, **kwargs)
+        opened.append(session.run_id)
+        return session
+
+    monkeypatch.setattr(cli, "open_session", recording_open)
+    args = ["run", "r", str(SCENARIO_A_PLAN), "--bom", str(lockfile),
+            "--vault", str(tmp_path / "vault")]
+    assert main(args) == 1
+    assert main(args) == 1
+    assert opened == ["r", "r"]
+    assert list((tmp_path / "vault" / "runs").iterdir()) == []
+
+
 def test_run_unwritable_vault_exits_one(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not dir")
@@ -469,6 +491,10 @@ MALFORMED_RESULTS = {
     ),
     "non-object-result": lambda d: d["assessment-results"]["results"].append(5),
     "list-body": lambda d: d.update({"assessment-results": [d["assessment-results"]]}),
+    "object-remarks": lambda d: _first_observation(d).update({"remarks": {"a": 1}}),
+    "list-remarks": lambda d: d["assessment-results"]["results"][0]["findings"][0].update(
+        {"remarks": [1]}
+    ),
 }
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
@@ -70,6 +72,36 @@ def test_run_id_collision_appends_suffix(tmp_path):
     third = open_session("credit-scoring", vault_root=tmp_path)
     assert second.run_id == "credit-scoring-2"
     assert third.run_id == "credit-scoring-3"
+
+
+def test_concurrent_sessions_with_one_id_each_get_their_own_directory(tmp_path):
+    workers = 16
+    barrier = threading.Barrier(workers, timeout=10)
+    sessions, errors = [], []
+
+    def open_one():
+        try:
+            barrier.wait()
+            sessions.append(open_session("credit-scoring", vault_root=tmp_path))
+        except Exception as exc:  # collected and asserted on below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=open_one) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len({session.run_dir for session in sessions}) == workers
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == sorted(
+        ["credit-scoring"] + [f"credit-scoring-{n}" for n in range(2, workers + 1)]
+    )
 
 
 def test_unsafe_run_id_rejected(tmp_path):

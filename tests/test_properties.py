@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,6 +16,7 @@ from conftest import (
 )
 from oscal_assure import (
     MetricContext,
+    MetricOutcome,
     bind_roles,
     compare,
     default_registry,
@@ -26,11 +28,13 @@ from oscal_assure import (
     group_reweight,
     load_table,
 )
+from oscal_assure import metrics
 from oscal_assure.enforcement import EnforcementAction, VerdictOutcome
-from oscal_assure.errors import NotComputable
+from oscal_assure.errors import MissingRole, NotComputable
 from oscal_assure.metrics import dice
 from oscal_assure.plan import LifecyclePhase, Operator
 from oscal_assure.results import FindingStatus
+from oscal_assure.tabular import cell_token
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -259,3 +263,224 @@ def test_randomized_enforcement_invariants(seed):
         assert {i.related_risk_uuid for i in items} == {r.uuid for r in block.risks}
 
         assert_structurally_valid(report.assessment_results, report.poam)
+
+
+# --- built-in metrics against per-row reference loops ---------------------------
+# The per-row loops below are the metric passes as they were before the
+# built-ins shared one crosstab. Row grouping, exclusion and summation order
+# must not change an outcome, so the two are compared by exact repr.
+
+
+def _reference_class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
+    b = metrics._bindings(ctx)
+    target = ctx.table.column(b.target)
+    weights = metrics._weights(ctx)
+
+    masses: dict[str, list[float]] = {}
+    excluded = 0
+    for i, value in enumerate(target):
+        w = 1.0 if weights is None else weights[i]
+        if value is None or w is None:
+            excluded += 1
+            continue
+        masses.setdefault(cell_token(value), []).append(float(w))
+    totals = {label: math.fsum(parts) for label, parts in masses.items()}
+    if len(totals) < 2:
+        raise NotComputable(
+            f"class imbalance needs both classes present, saw {sorted(totals) or 'none'}"
+        )
+    low, high = min(totals.values()), max(totals.values())
+    if high == 0:
+        raise NotComputable("all class masses are zero")
+    detail = {f"count:{label}": repr(total) for label, total in sorted(totals.items())}
+    return MetricOutcome(
+        value=metrics._finite(low / high, "class imbalance ratio"),
+        excluded_rows=excluded,
+        detail=detail,
+    )
+
+
+def _reference_group_positive_rates(ctx: MetricContext) -> MetricOutcome:
+    subject, positive = metrics._subject(ctx)
+    group = metrics._group_column(ctx)
+    weights = metrics._weights(ctx)
+
+    mass: dict[str, list[float]] = {}
+    positive_mass: dict[str, list[float]] = {}
+    excluded = 0
+    for i in range(ctx.table.row_count):
+        g, y = group[i], subject[i]
+        w = 1.0 if weights is None else weights[i]
+        if g is None or y is None or w is None:
+            excluded += 1
+            continue
+        label = cell_token(g)
+        mass.setdefault(label, []).append(float(w))
+        if cell_token(y) == positive:
+            positive_mass.setdefault(label, []).append(float(w))
+    if not mass:
+        raise NotComputable("no rows with group and outcome present")
+
+    per_group: dict[str, float] = {}
+    for label in sorted(mass):
+        total = math.fsum(mass[label])
+        if total == 0:
+            raise NotComputable(f"group {label!r} has zero total weight")
+        per_group[label] = metrics._finite(
+            math.fsum(positive_mass.get(label, [])) / total, f"rate of group {label!r}"
+        )
+    max_group = max(per_group, key=lambda k: (per_group[k], k))
+    min_group = min(per_group, key=lambda k: (per_group[k], k))
+    return MetricOutcome(
+        value=per_group[max_group],
+        per_group=per_group,
+        excluded_rows=excluded,
+        detail={"max-group": max_group, "min-group": min_group},
+    )
+
+
+def _reference_confusion_counts(ctx: MetricContext) -> tuple[float, float, float, float, int]:
+    b = metrics._bindings(ctx)
+    if b.prediction is None or b.prediction_positive is None:
+        raise MissingRole("confusion metrics need a bound prediction column")
+    target = ctx.table.column(b.target)
+    prediction = ctx.table.column(b.prediction)
+    weights = metrics._weights(ctx)
+
+    tp: list[float] = []
+    tn: list[float] = []
+    fp: list[float] = []
+    fn: list[float] = []
+    excluded = 0
+    for i in range(ctx.table.row_count):
+        y, p = target[i], prediction[i]
+        w = 1.0 if weights is None else weights[i]
+        if y is None or p is None or w is None:
+            excluded += 1
+            continue
+        actual = cell_token(y) == b.target_positive
+        predicted = cell_token(p) == b.prediction_positive
+        bucket = tp if (actual and predicted) else fn if actual else fp if predicted else tn
+        bucket.append(float(w))
+    return math.fsum(tp), math.fsum(tn), math.fsum(fp), math.fsum(fn), excluded
+
+
+def _reference_group_reweight(ctx: MetricContext) -> list[float]:
+    b = metrics._bindings(ctx)
+    group = metrics._group_column(ctx)
+    target = ctx.table.column(b.target)
+
+    group_counts: dict[str, int] = {}
+    class_counts: dict[str, int] = {}
+    cell_counts: dict[tuple[str, str], int] = {}
+    observed = 0
+    for i in range(ctx.table.row_count):
+        g, y = group[i], target[i]
+        if g is None or y is None:
+            continue
+        observed += 1
+        gl, yl = cell_token(g), cell_token(y)
+        group_counts[gl] = group_counts.get(gl, 0) + 1
+        class_counts[yl] = class_counts.get(yl, 0) + 1
+        cell_counts[(gl, yl)] = cell_counts.get((gl, yl), 0) + 1
+    if observed == 0:
+        raise NotComputable("no rows with group and outcome present")
+
+    weights = []
+    for i in range(ctx.table.row_count):
+        g, y = group[i], target[i]
+        if g is None or y is None:
+            weights.append(1.0)
+            continue
+        gl, yl = cell_token(g), cell_token(y)
+        weights.append(group_counts[gl] * class_counts[yl] / (observed * cell_counts[(gl, yl)]))
+    return weights
+
+
+def _all_outcomes(ctx: MetricContext) -> dict[str, str]:
+    """repr of every built-in's outcome (and of group_reweight's weights),
+    or the type and message of the error it raised."""
+    registry = metrics.default_registry()
+    functions = {key: registry.entry(key).fn for key in registry.keys()}
+    functions["group_reweight"] = metrics.group_reweight
+    outcomes = {}
+    for key, fn in functions.items():
+        try:
+            outcomes[key] = repr(fn(ctx))
+        except Exception as exc:  # compared by type and message
+            outcomes[key] = f"{type(exc).__name__}: {exc}"
+    return outcomes
+
+
+GROUP_POOLS = {
+    "word": ["a", "b", "c"],
+    "int": ["0", "-3", "12"],
+    "decimal": ["-0.0", "0.0", "0.5", "1e3", "nan", "NaN"],
+    "bool": ["true", "False", "TRUE"],
+}
+WEIGHT_POOLS = {
+    "int": ["0", "1", "2", "7"],
+    "decimal": ["0", "-0.0", "0.1", "0.2", "0.3", "0.7", "1.1", "1e-300"],
+}
+
+
+@st.composite
+def metric_contexts(draw) -> MetricContext:
+    group_pool = GROUP_POOLS[draw(st.sampled_from(sorted(GROUP_POOLS)))]
+    weight_pool = WEIGHT_POOLS[draw(st.sampled_from(sorted(WEIGHT_POOLS)))]
+
+    def cell(pool):
+        return st.sampled_from(["", *pool])  # "" is a missing cell
+
+    distinct = draw(
+        st.lists(
+            st.tuples(
+                cell(group_pool), cell(["1", "0"]), cell(["1", "0"]), cell(weight_pool)
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    rows = [
+        list(row)
+        for row in distinct
+        for _ in range(draw(st.integers(min_value=1, max_value=5)))
+    ]
+    draw(st.randoms(use_true_random=False)).shuffle(rows)
+    table = table_from_rows(["g", "y", "p", "w"], rows)
+    weighted = draw(st.booleans())
+    bindings = bind_roles(
+        table, "y", "1", group="g", prediction="p", prediction_positive="1",
+        weight="w" if weighted else None,
+    )
+    privileged = draw(st.one_of(st.none(), st.sampled_from(group_pool)))
+    return MetricContext(
+        table,
+        bindings,
+        params={} if privileged is None else {"privileged": privileged},
+        evaluate_on=draw(st.sampled_from(["target", "prediction"])),
+    )
+
+
+def _weighted_ctx(rows: list[list[str]]) -> MetricContext:
+    table = table_from_rows(["g", "y", "p", "w"], rows)
+    return MetricContext(
+        table, bind_roles(table, "y", "1", group="g", prediction="p",
+                          prediction_positive="1", weight="w")
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(metric_contexts())
+# a group total summed from per-cell totals would read 0.9999999999999999 here
+@example(_weighted_ctx([["a", "1", "1", "0.1"], ["a", "0", "0", "0.2"], ["a", "0", "1", "0.7"]]))
+def test_builtin_metrics_match_per_row_reference_loops(ctx):
+    with mock.patch.multiple(
+        metrics,
+        class_imbalance_ratio=_reference_class_imbalance_ratio,
+        group_positive_rates=_reference_group_positive_rates,
+        _confusion_counts=_reference_confusion_counts,
+        group_reweight=_reference_group_reweight,
+    ):
+        expected = _all_outcomes(ctx)
+    assert _all_outcomes(ctx) == expected

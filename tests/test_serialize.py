@@ -96,6 +96,21 @@ def test_determinize_keeps_poam_references_consistent(pre_report):
     assert_structurally_valid(results, poam)
 
 
+def test_poam_without_its_results_uuid_map_fails_closed(scenario_a_plan, scenario_a_ctx):
+    reports = [
+        enforce_phase(scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, default_registry())
+        for _ in range(2)
+    ]
+    with pytest.raises(SerializationFailure, match="reference_map"):
+        serialize_canonical(reports[0].poam, deterministic=True)
+    paired = []
+    for report in reports:
+        _, mapping = determinize(report.assessment_results)
+        poam, _ = determinize(report.poam, reference_map=mapping)
+        paired.append(serialize_canonical(poam))
+    assert paired[0] == paired[1]
+
+
 def test_seed_namespace_changes_deterministic_uuids(pre_report):
     doc = pre_report.assessment_results
     first, _ = determinize(doc, seed_namespace="audit-2026")

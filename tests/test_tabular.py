@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import table_from_rows
@@ -57,6 +59,21 @@ def test_decimal_boolean_and_missing_inference():
     assert table.column("x") == (1.5, 2.0, None)
     assert table.column("flag") == (True, False, True)
     assert table.column("name") == ("ann", None, "bo")
+
+
+def test_negative_zero_loads_as_zero_and_shares_its_label():
+    table = load_table(b"x,y\n-0.0,1\n0.0,0\n1.5,1\n")
+    assert [math.copysign(1.0, v) for v in table.column("x")] == [1.0, 1.0, 1.0]
+    # -0.0 and 0.0 are one label, so the column is binary
+    bindings = bind_roles(table, "x", "0.0")
+    assert bindings.target_positive == "0.0"
+
+
+def test_loaded_columns_hold_one_python_type_each():
+    # equal cells must have equal tokens: no column mixes 1, 1.0 and True
+    table = load_table(b"i,d,b,c\n1,1,true,1\n0,1.0,false,a\n,-0.0,,1.0\n")
+    for name in table.column_names:
+        assert len({type(v) for v in table.column(name) if v is not None}) == 1, name
 
 
 def test_quoted_fields_with_commas():
