@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .canonical import Clock, random_uuid, utc_now
-from .errors import BlockingControlFailure, OscalAssureError, PolicyDataMismatch
+from .errors import BlockingControlFailure, NotComputable, OscalAssureError, PolicyDataMismatch
 from .metrics import MetricContext, MetricOutcome, MetricRegistry, role_bound
 from .plan import (
     AssessmentPlan,
@@ -269,8 +269,9 @@ def _evaluate_strata(
     spec: ControlSpec, ctx: MetricContext, registry: MetricRegistry
 ) -> Iterator[tuple[str | None, MetricOutcome | OscalAssureError]]:
     """Yield each stratum's label (None when unstratified) with the metric's
-    outcome or the error it raised. A stratification that fails is one
-    unlabelled stratum whose evaluation failed, so the phase goes on."""
+    outcome or the error it raised. A stratification that fails or yields
+    no stratum is one unlabelled stratum whose evaluation failed, so the
+    phase goes on and the control cannot pass on no evidence."""
     if spec.stratify_by is None:
         strata = [(None, ctx)]
     else:
@@ -279,6 +280,8 @@ def _evaluate_strata(
                 (label, dataclasses.replace(ctx, table=table))
                 for label, table in stratify(ctx.table, spec.stratify_by)
             ]
+            if not strata:
+                raise NotComputable(f"no rows to stratify by {spec.stratify_by!r}")
         except OscalAssureError as exc:
             yield None, exc
             return

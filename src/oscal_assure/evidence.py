@@ -10,6 +10,7 @@ collected, handshake.json always.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from datetime import datetime
 from enum import Enum
 from pathlib import Path
 
-from .canonical import Clock, canonical_json_bytes, format_timestamp, utc_now
+from .canonical import Clock, canonical_json_bytes, format_timestamp, random_uuid, utc_now
 from .enforcement import PhaseReport, combine_reports
 from .errors import (
     InvalidRunId,
@@ -343,10 +344,18 @@ def _environment_to_dict(fp: EnvFingerprint) -> dict:
 
 
 def _write_vault_file(run_dir: Path, name: str, payload: bytes) -> None:
+    """Write a vault file whole or not at all: the bytes go to a temporary
+    file in the run directory, which then replaces the target."""
+    target = run_dir / name
+    temporary = run_dir / f".{name}.{random_uuid()}.tmp"
     try:
-        (run_dir / name).write_bytes(payload)
+        with open(temporary, "xb") as handle:
+            handle.write(payload)
+        os.replace(temporary, target)
     except OSError as exc:
-        raise UnwritableVault(f"cannot write {run_dir / name}: {exc}") from exc
+        with contextlib.suppress(OSError):
+            temporary.unlink(missing_ok=True)
+        raise UnwritableVault(f"cannot write {target}: {exc}") from exc
 
 
 def finalize_session(

@@ -313,12 +313,14 @@ def parse_plan_document(
     if format == "json":
         try:
             document = json.loads(source.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError covers undecodable bytes, bad JSON and integers past
+        # the interpreter's digit limit
+        except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
     elif format == "yaml":
         try:
             document = yaml.safe_load(source)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise MalformedDocument(f"invalid YAML: {exc}") from exc
     else:
         raise ValueError(f"unsupported format {format!r}")

@@ -357,7 +357,9 @@ def serialize_canonical(
 def _load_json(source: bytes) -> dict:
     try:
         document = json.loads(source.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers undecodable bytes, bad JSON and integers past the
+    # interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise MalformedDocument("document root must be an object")

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import operator
+from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,8 +56,9 @@ class DataTable:
     """Typed columns of equal length.
 
     Each column holds cells of one Python type (plus None) and no -0.0, so
-    cells that compare equal have equal cell_tokens; metrics group rows by
-    value and name the groups by token. load_table guarantees this.
+    cells that compare equal have equal cell_tokens; metrics, stratify and
+    bind_roles group rows by value and name the groups by token. load_table
+    guarantees this, and the cells it makes equal share one object.
     """
 
     column_names: tuple[str, ...]
@@ -100,30 +104,21 @@ class RoleBindings:
     weight: str | None = None
 
 
-def _infer_column(raw: list[str | None]) -> tuple[ColumnType, tuple[Cell, ...]]:
-    present = [v for v in raw if v is not None]
-    if present and all(v.lower() in _BOOL_TOKENS for v in present):
-        return ColumnType.BOOLEAN, tuple(
-            None if v is None else _BOOL_TOKENS[v.lower()] for v in raw
-        )
+def _infer_column(distinct: Collection[str]) -> tuple[ColumnType, dict[str, Cell]]:
+    """Column type and cell value of each distinct non-empty CSV field."""
+    if not distinct:
+        return ColumnType.CATEGORICAL, {}
+    if all(v.lower() in _BOOL_TOKENS for v in distinct):
+        return ColumnType.BOOLEAN, {v: _BOOL_TOKENS[v.lower()] for v in distinct}
     try:
-        if present:
-            ints = {v: int(v) for v in present}
-            return ColumnType.INTEGER, tuple(
-                None if v is None else ints[v] for v in raw
-            )
+        return ColumnType.INTEGER, {v: int(v) for v in distinct}
     except ValueError:
         pass
     try:
-        if present:
-            # + 0.0 turns -0.0 into 0.0: equal cells must have equal tokens
-            floats = {v: float(v) + 0.0 for v in present}
-            return ColumnType.DECIMAL, tuple(
-                None if v is None else floats[v] for v in raw
-            )
+        # + 0.0 turns -0.0 into 0.0: equal cells must have equal tokens
+        return ColumnType.DECIMAL, {v: float(v) + 0.0 for v in distinct}
     except ValueError:
-        pass
-    return ColumnType.CATEGORICAL, tuple(raw)
+        return ColumnType.CATEGORICAL, {v: v for v in distinct}
 
 
 def load_table(source: bytes, format: str = "csv", has_header: bool = True) -> DataTable:
@@ -140,41 +135,48 @@ def load_table(source: bytes, format: str = "csv", has_header: bool = True) -> D
         raise UndecodableBytes(f"input is not valid UTF-8: {exc}") from exc
 
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows = []
-    header: list[str] | None = None
-    for row in reader:
-        if header is None:
-            if has_header:
-                header = [name.strip() for name in row]
-                continue
-            header = [f"col{i + 1}" for i in range(len(row))]
-        if len(row) != len(header):
-            raise RaggedRows(
-                f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
-            )
-        rows.append(row)
-    if header is None:
-        raise EmptyInput("no header row in input")
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise EmptyInput("no header row in input")
+        if has_header:
+            header, rows = [name.strip() for name in first], reader
+        else:
+            header = [f"col{i + 1}" for i in range(len(first))]
+            rows = itertools.chain([first], reader)
+        # Each record goes straight into its columns, and each field into one
+        # str object per distinct field of its column: no list of rows and no
+        # per-cell copy of a field outlives its record.
+        raw_columns: list[list[str]] = [[] for _ in header]
+        distinct: list[dict[str, str]] = [{} for _ in header]
+        row_count = 0
+        for row in rows:
+            if len(row) != len(header):
+                raise RaggedRows(
+                    f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                )
+            for i, cell in enumerate(row):
+                raw_columns[i].append(distinct[i].setdefault(cell, cell))
+            row_count += 1
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise DataError(f"line {reader.line_num}: unreadable CSV: {exc}") from exc
     if len(set(header)) != len(header):
         raise DataError(f"duplicate column names in header: {header}")
 
-    raw_columns: list[list[str | None]] = [[] for _ in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            raw_columns[i].append(cell if cell != "" else None)
-
     types: list[ColumnType] = []
     columns: list[tuple[Cell, ...]] = []
-    for raw in raw_columns:
-        ctype, values = _infer_column(raw)
+    for raw, fields in zip(raw_columns, distinct):
+        fields.pop("", None)
+        ctype, values = _infer_column(fields)
         types.append(ctype)
-        columns.append(values)
+        # an empty field is no key of values, so .get maps it to None
+        columns.append(tuple(map(values.get, raw)))
 
     return DataTable(
         column_names=tuple(header),
         column_types=tuple(types),
         columns=tuple(columns),
-        row_count=len(rows),
+        row_count=row_count,
     )
 
 
@@ -194,7 +196,7 @@ def _check_binary(table: DataTable, name: str, role: str, positive: str) -> str:
     """Check that a column is binary and, when it holds two values, that
     the positive label is one of them. Returns the label as cell_token
     spells it (boolean labels match case-insensitively)."""
-    distinct = {cell_token(v) for v in table.column(name) if v is not None}
+    distinct = {cell_token(v) for v in set(table.column(name)) if v is not None}
     if len(distinct) > 2:
         raise NonBinaryTarget(
             f"{role} column {name!r} has {len(distinct)} distinct values, expected <= 2"
@@ -263,15 +265,21 @@ def stratify(table: DataTable, by: str) -> list[tuple[str, DataTable]]:
         raise NonCategoricalColumn(
             f"column {by!r} is {table.column_type(by).value}, stratification needs categorical"
         )
-    groups: dict[str, list[int]] = {}
+    groups: dict[Cell, list[int]] = {}
     for i, value in enumerate(table.column(by)):
-        groups.setdefault(cell_token(value), []).append(i)
+        groups.setdefault(value, []).append(i)
+    # None and "" are unequal but share the label "": their rows merge
+    labelled: dict[str, list[int]] = {}
+    for value, indexes in groups.items():
+        labelled.setdefault(cell_token(value), []).extend(indexes)
 
     strata = []
-    for label in sorted(groups):
-        indexes = groups[label]
+    for label in sorted(labelled):
+        indexes = sorted(labelled[label])
+        pick = operator.itemgetter(*indexes)
+        # itemgetter of one index returns the cell itself, not a 1-tuple
         columns = tuple(
-            tuple(col[i] for i in indexes) for col in table.columns
+            pick(col) if len(indexes) > 1 else (pick(col),) for col in table.columns
         )
         strata.append(
             (

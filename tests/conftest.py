@@ -5,6 +5,7 @@ import io
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from oscal_assure import (
     AssessmentPlan,
@@ -43,6 +44,20 @@ def table_from_rows(header: list[str], rows: list[list[str]]):
     writer.writerow(header)
     writer.writerows(rows)
     return load_table(buffer.getvalue().encode("utf-8"))
+
+
+def replace_random_node(document, data, values) -> None:
+    """Walk from the root of a JSON-like document down a path hypothesis
+    draws, and replace the node where the walk stops with a drawn value."""
+    node = document
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            node[key] = data.draw(values)
+            return
+        node = child
 
 
 MEDICAL_HEADER = ["age_cohort", "gender", "truth", "pred"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import (
+    MEDICAL_HEADER,
     assert_structurally_valid,
     make_control,
     make_plan,
@@ -230,6 +231,25 @@ def test_stratified_control_fails_on_any_failing_stratum(registry):
     assert [obs.stratum for obs in verdict.observations] == ["s1", "s2"]
     assert verdict.outcome is VerdictOutcome.NOT_SATISFIED
     assert dict(verdict.risk.facets)["stratum"] == "s2"
+
+
+def test_stratified_controls_on_a_table_without_rows_fail_closed(medical_plan, registry):
+    table = table_from_rows(MEDICAL_HEADER, [])
+    bindings = bind_roles(
+        table, "truth", "lesion", prediction="pred", prediction_positive="lesion"
+    )
+    ctx = MetricContext(table=table, bindings=bindings)
+    stratified = [spec for spec in medical_plan.controls if spec.stratify_by is not None]
+    assert len(stratified) == 6
+    for spec in stratified:
+        verdict = evaluate_control(spec, ctx, registry)
+        assert verdict.outcome is VerdictOutcome.NOT_SATISFIED
+        assert verdict.finding.remarks == "evaluation-error"
+        (observation,) = verdict.observations
+        assert observation.remarks == (
+            f"evaluation-error: no rows to stratify by {spec.stratify_by!r}"
+        )
+        assert dict(verdict.risk.facets)["actual"] == "not-computable"
 
 
 # --- enforce_phase ---------------------------------------------------------------

@@ -16,6 +16,7 @@ from oscal_assure import (
     record_artifact,
     verify_artifact_records,
 )
+from oscal_assure import evidence
 from oscal_assure.canonical import DETERMINISTIC_EPOCH
 from oscal_assure.errors import (
     InvalidRunId,
@@ -310,6 +311,18 @@ def test_vault_contains_exactly_the_collected_parts(
         "handshake.json",
     }
     assert {p.name for p in session.run_dir.iterdir()} == expected
+
+
+def test_failed_vault_write_leaves_neither_target_nor_temporary_file(
+    session, scenario_a_reports, monkeypatch
+):
+    def fail(source, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(evidence.os, "replace", fail)
+    with pytest.raises(UnwritableVault, match="assessment-results.oscal.json: disk full"):
+        finalize_session(session, scenario_a_reports)
+    assert list(session.run_dir.iterdir()) == []
 
 
 def test_vault_omits_files_for_uncollected_parts(session, scenario_a_reports):

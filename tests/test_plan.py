@@ -1,11 +1,17 @@
 from __future__ import annotations
 
-import pytest
+import json
 
-from conftest import FIG2_PLAN, SCENARIO_A_PLAN
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FIG2_PLAN, SCENARIO_A_PLAN, replace_random_node
 from oscal_assure import parse_plan_document, serialize_canonical
 from oscal_assure.errors import (
     DuplicateControlId,
+    OscalAssureError,
     InvalidEnumValue,
     MalformedDocument,
     MissingRequiredProperty,
@@ -315,3 +321,61 @@ def test_plan_round_trip_is_field_identical(path):
     plan = parse_plan_document(path.read_bytes(), "yaml")
     rebuilt = parse_plan_document(serialize_canonical(plan), "json")
     assert rebuilt == plan
+
+
+# --- parser fuzzing ------------------------------------------------------------------
+
+PLAN_WORDS = [
+    "assessment-plan", "metadata", "title", "version", "last-modified", "uuid",
+    "control-implementations", "implemented-requirements", "control-id", "props",
+    "name", "value", "ns", "description", *THE_16_PROPERTIES, "stratify_by",
+    "metric_param", "lifecycle_phase", ">=", "0.8", "block", "training", "automated",
+    "per-run", "model", "2024-01-01T00:00:00Z", "2024-13-01",
+]
+plan_words = st.sampled_from(PLAN_WORDS) | st.text(max_size=8)
+plan_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | plan_words,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(plan_words, children, max_size=5),
+    max_leaves=30,
+)
+
+
+def parses_or_raises_package_error(source: bytes, format: str) -> None:
+    try:
+        parse_plan_document(source, format)
+    except OscalAssureError:
+        pass
+
+
+UNPARSABLE = {
+    "nested-past-the-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
+    "integer-past-the-digit-limit": b"[" + b"1" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("format", ["json", "yaml"])
+@pytest.mark.parametrize("source", UNPARSABLE.values(), ids=UNPARSABLE.keys())
+def test_unparsable_plan_is_malformed(source, format):
+    with pytest.raises(MalformedDocument, match=f"invalid {format.upper()}"):
+        parse_plan_document(source, format)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200), st.sampled_from(["json", "yaml"]))
+def test_plan_parser_returns_or_raises_package_error_for_any_bytes(source, format):
+    parses_or_raises_package_error(source, format)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([FIG2_PLAN, SCENARIO_A_PLAN]), st.sampled_from(["json", "yaml"]), st.data())
+def test_plan_parser_returns_or_raises_package_error_for_any_edit_of_a_real_plan(
+    path, format, data
+):
+    document = yaml.safe_load(path.read_bytes())
+    replace_random_node(document, data, plan_values)
+    if format == "json":
+        source = json.dumps(document, default=str).encode()
+    else:
+        source = yaml.safe_dump(document, allow_unicode=True).encode()
+    parses_or_raises_package_error(source, format)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from unittest import mock
@@ -30,11 +32,18 @@ from oscal_assure import (
 )
 from oscal_assure import metrics
 from oscal_assure.enforcement import EnforcementAction, VerdictOutcome
-from oscal_assure.errors import MissingRole, NotComputable
+from oscal_assure.errors import (
+    DataError,
+    EmptyInput,
+    MissingRole,
+    NotComputable,
+    RaggedRows,
+    UndecodableBytes,
+)
 from oscal_assure.metrics import dice
 from oscal_assure.plan import LifecyclePhase, Operator
 from oscal_assure.results import FindingStatus
-from oscal_assure.tabular import cell_token
+from oscal_assure.tabular import _BOOL_TOKENS, Cell, ColumnType, DataTable, cell_token
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -484,3 +493,149 @@ def test_builtin_metrics_match_per_row_reference_loops(ctx):
     ):
         expected = _all_outcomes(ctx)
     assert _all_outcomes(ctx) == expected
+
+
+# --- load_table against the row-list loader ----------------------------------------
+# _reference_load_table is the loader as it was before it streamed records
+# into columns and converted each distinct field once. Names, types, the
+# repr of every cell, row_count and errors must not change; the one
+# intended difference, a csv.Error now raised as DataError, needs a field
+# far longer than these inputs and is tested in test_tabular.py.
+
+
+def _reference_infer_column(raw: list[str | None]) -> tuple[ColumnType, tuple[Cell, ...]]:
+    present = [v for v in raw if v is not None]
+    if present and all(v.lower() in _BOOL_TOKENS for v in present):
+        return ColumnType.BOOLEAN, tuple(
+            None if v is None else _BOOL_TOKENS[v.lower()] for v in raw
+        )
+    try:
+        if present:
+            ints = {v: int(v) for v in present}
+            return ColumnType.INTEGER, tuple(
+                None if v is None else ints[v] for v in raw
+            )
+    except ValueError:
+        pass
+    try:
+        if present:
+            floats = {v: float(v) + 0.0 for v in present}
+            return ColumnType.DECIMAL, tuple(
+                None if v is None else floats[v] for v in raw
+            )
+    except ValueError:
+        pass
+    return ColumnType.CATEGORICAL, tuple(raw)
+
+
+def _reference_load_table(source: bytes, has_header: bool = True) -> DataTable:
+    try:
+        text = source.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise UndecodableBytes(f"input is not valid UTF-8: {exc}") from exc
+
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = []
+    header: list[str] | None = None
+    for row in reader:
+        if header is None:
+            if has_header:
+                header = [name.strip() for name in row]
+                continue
+            header = [f"col{i + 1}" for i in range(len(row))]
+        if len(row) != len(header):
+            raise RaggedRows(
+                f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
+            )
+        rows.append(row)
+    if header is None:
+        raise EmptyInput("no header row in input")
+    if len(set(header)) != len(header):
+        raise DataError(f"duplicate column names in header: {header}")
+
+    raw_columns: list[list[str | None]] = [[] for _ in header]
+    for row in rows:
+        for i, cell in enumerate(row):
+            raw_columns[i].append(cell if cell != "" else None)
+
+    types: list[ColumnType] = []
+    columns: list[tuple[Cell, ...]] = []
+    for raw in raw_columns:
+        ctype, values = _reference_infer_column(raw)
+        types.append(ctype)
+        columns.append(values)
+
+    return DataTable(
+        column_names=tuple(header),
+        column_types=tuple(types),
+        columns=tuple(columns),
+        row_count=len(rows),
+    )
+
+
+def _loaded(load, source: bytes, has_header: bool):
+    """Names, types, repr of every cell and row_count of the loaded table,
+    or the type and message of the error the load raised."""
+    try:
+        table = load(source, has_header=has_header)
+    except Exception as exc:  # compared by type and message
+        return f"{type(exc).__name__}: {exc}"
+    return (
+        table.column_names,
+        table.column_types,
+        [[repr(cell) for cell in column] for column in table.columns],
+        table.row_count,
+    )
+
+
+FIELD_POOLS = [
+    ["", "TRUE", "false", "True", "fAlSe"],
+    ["", "007", "-3", "1_000", "0", " 7", "+5"],
+    ["", "-0.0", "0.0", "nan", "NaN", "1e3", "inf", "1.5", "7"],
+    ["", "a,b", "line\nbreak", "cr\r\nlf", 'say "hi"', "plain", "é", " "],
+]
+HEADER_NAMES = ["a", " a ", "b", "c", "", "d,e", "f\ng"]
+
+
+@st.composite
+def csv_sources(draw) -> bytes:
+    width = draw(st.integers(min_value=0, max_value=4))
+    header = draw(st.lists(st.sampled_from(HEADER_NAMES), min_size=width, max_size=width))
+    # a column draws from one pool, or from two so its type is contested
+    pools = [
+        draw(st.sampled_from(FIELD_POOLS)) + draw(st.sampled_from([[], *FIELD_POOLS]))
+        for _ in range(width)
+    ]
+    rows = [
+        [draw(st.sampled_from(pool)) for pool in pools]
+        for _ in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    if draw(st.booleans()):  # a ragged row, possibly after a multi-line field
+        ragged = draw(st.lists(st.sampled_from(FIELD_POOLS[3]), max_size=width + 2))
+        if len(ragged) != width:
+            rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), ragged)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(
+        buffer,
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    )
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line break after the last record
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+
+
+csv_fuzz = st.text(alphabet=',"\r\n a1.-', max_size=40).map(str.encode) | st.binary(max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_sources() | csv_fuzz, st.booleans())
+@example(b'a,b\n"x\ny",1\n2\n', True)  # ragged row after a multi-line quoted field
+@example(b"\n\n\n", True)  # zero-column header, rows still counted
+def test_load_table_matches_the_row_list_loader(source, has_header):
+    assert _loaded(load_table, source, has_header) == _loaded(
+        _reference_load_table, source, has_header
+    )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_structurally_valid
+from conftest import assert_structurally_valid, replace_random_node
 from oscal_assure import (
     default_registry,
     determinize,
@@ -200,6 +200,12 @@ def test_parsers_reject_json_nested_past_the_recursion_limit(parse):
         parse(b"[" * 100_000 + b"]" * 100_000)
 
 
+@pytest.mark.parametrize("parse", PARSERS.values(), ids=PARSERS.keys())
+def test_parsers_reject_json_integers_past_the_digit_limit(parse):
+    with pytest.raises(MalformedDocument, match="invalid JSON"):
+        parse(b'{"observed-value": ' + b"1" * 5000 + b"}")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(PARSERS)), json_values)
 def test_parsers_return_or_raise_package_error_for_any_body(root, body):
@@ -228,13 +234,5 @@ def test_parsers_return_or_raise_package_error_for_any_edit_of_a_real_document(
     demo_documents, root, data
 ):
     body = json.loads(json.dumps(demo_documents[root]))
-    node = body
-    while True:
-        keys = list(node) if isinstance(node, dict) else range(len(node))
-        key = data.draw(st.sampled_from(keys))
-        child = node[key]
-        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
-            node[key] = data.draw(json_values)
-            break
-        node = child
+    replace_random_node(body, data, json_values)
     parses_or_raises_package_error(root, body)

@@ -7,6 +7,7 @@ import pytest
 from conftest import table_from_rows
 from oscal_assure import bind_roles, dump_table, load_table, stratify
 from oscal_assure.errors import (
+    DataError,
     EmptyInput,
     MissingColumn,
     NegativeWeight,
@@ -17,7 +18,7 @@ from oscal_assure.errors import (
     UnknownPositiveLabel,
 )
 from oscal_assure.metrics import MetricContext, accuracy
-from oscal_assure.tabular import ColumnType
+from oscal_assure.tabular import ColumnType, DataTable
 
 
 def test_small_csv_types_and_counts():
@@ -37,6 +38,17 @@ def test_header_only_file_loads_with_zero_rows():
 def test_ragged_row_reports_line_number():
     with pytest.raises(RaggedRows, match="line 3"):
         load_table(b"a,b\n1,2\n1,2,3\n")
+
+
+def test_field_past_the_csv_size_limit_is_a_data_error():
+    with pytest.raises(DataError, match="line 2: unreadable CSV: field larger than field limit"):
+        load_table(b"a,b\n" + b"x" * 200_000 + b",1\n")
+
+
+def test_equal_loaded_cells_share_one_object():
+    table = load_table(b"g,n,x\nlong label,7,0.5\nlong label,7,0.5\n,7,\n")
+    for column in table.columns:
+        assert column[0] is column[1]
 
 
 def test_empty_input_rejected():
@@ -149,6 +161,18 @@ def test_stratify_partitions_by_label():
     strata = stratify(table, "g")
     assert [(label, t.row_count) for label, t in strata] == [("A", 2), ("B", 1)]
     assert sum(t.row_count for _, t in strata) == table.row_count
+
+
+def test_stratify_merges_values_that_share_a_label_in_row_order():
+    # a hand-built column may hold both None and "", whose label is ""
+    table = DataTable(
+        column_names=("g", "i"),
+        column_types=(ColumnType.CATEGORICAL, ColumnType.INTEGER),
+        columns=(("a", None, "", "a", None), (0, 1, 2, 3, 4)),
+        row_count=5,
+    )
+    strata = stratify(table, "g")
+    assert [(label, t.column("i")) for label, t in strata] == [("", (1, 2, 4)), ("a", (0, 3))]
 
 
 def test_stratify_single_valued_column_yields_whole_table():
