@@ -445,7 +445,10 @@ def cmd_trace(args) -> int:
     if args.labels:
         try:
             raw = json.loads(Path(args.labels).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(raw, dict):
+                raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        # ValueError covers undecodable bytes and bad JSON
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"cannot read labels registry: {exc}", file=sys.stderr)
             return EXIT_ERROR
         labels = {str(k): str(v) for k, v in raw.items()}

@@ -15,8 +15,22 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .canonical import Clock, random_uuid, utc_now
-from .errors import BlockingControlFailure, NotComputable, OscalAssureError, PolicyDataMismatch
-from .metrics import MetricContext, MetricOutcome, MetricRegistry, role_bound
+from .errors import (
+    BlockingControlFailure,
+    NonCategoricalColumn,
+    NotComputable,
+    OscalAssureError,
+    PolicyDataMismatch,
+)
+from .metrics import (
+    JointCount,
+    MetricContext,
+    MetricOutcome,
+    MetricRegistry,
+    count_rows,
+    is_builtin,
+    role_bound,
+)
 from .plan import (
     AssessmentPlan,
     ControlSpec,
@@ -39,7 +53,7 @@ from .results import (
     Risk,
     RiskStatus,
 )
-from .tabular import stratify
+from .tabular import ColumnType, stratify
 
 logger = logging.getLogger(__name__)
 
@@ -185,6 +199,50 @@ def missing_roles(spec: ControlSpec, ctx: MetricContext, registry: MetricRegistr
     return sorted(role for role in required if not role_bound(spec_ctx, role))
 
 
+def _reads_joint_count(spec: ControlSpec, registry: MetricRegistry) -> bool:
+    try:
+        return is_builtin(registry.entry(spec.metric_key).fn)
+    except OscalAssureError:
+        return False  # unknown metric key: surfaces as an evaluation error later
+
+
+def _with_joint_count(
+    specs: list[ControlSpec], ctx: MetricContext, registry: MetricRegistry
+) -> MetricContext:
+    """ctx with one count of its rows over every column that the executable
+    built-in controls among specs may read: the bound roles, group
+    overrides and stratify_by columns, plus the weight. A column the table
+    lacks is left out, so only the control that names it fails on it."""
+    readers = [s for s in specs if would_execute(s) and _reads_joint_count(s, registry)]
+    b = ctx.bindings
+    if not readers or b is None:
+        return ctx
+    names = [b.target, b.prediction, b.group, ctx.params.get("group")]
+    for spec in readers:
+        names += [spec.metric_params.get("group"), spec.stratify_by]
+    present = [n for n in dict.fromkeys(names) if n is not None and ctx.table.has_column(n)]
+    weight = b.weight if b.weight is not None and ctx.table.has_column(b.weight) else None
+    return dataclasses.replace(ctx, joint=count_rows(ctx.table, present, weight))
+
+
+def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]]:
+    """stratify's strata as shares of ctx.joint: same labels, order and
+    errors (a missing cell and "" share the label ""), and no copied row."""
+    if ctx.table.column_type(by) is not ColumnType.CATEGORICAL:
+        raise NonCategoricalColumn(
+            f"column {by!r} is {ctx.table.column_type(by).value}, stratification needs categorical"
+        )
+    joint = ctx.joint
+    at = joint.names.index(by)
+    buckets: dict[str, dict] = {}
+    for key, cell in joint.cells.items():
+        buckets.setdefault(key[at] or "", {})[key] = cell
+    return [
+        (label, dataclasses.replace(ctx, joint=JointCount(joint.names, buckets[label])))
+        for label in sorted(buckets)
+    ]
+
+
 def unbound_controls(
     plan: AssessmentPlan,
     phase: LifecyclePhase,
@@ -271,15 +329,23 @@ def _evaluate_strata(
     """Yield each stratum's label (None when unstratified) with the metric's
     outcome or the error it raised. A stratification that fails or yields
     no stratum is one unlabelled stratum whose evaluation failed, so the
-    phase goes on and the control cannot pass on no evidence."""
+    phase goes on and the control cannot pass on no evidence. Built-in
+    metrics read strata of the joint count; others get stratified tables."""
+    if not _reads_joint_count(spec, registry):
+        ctx = dataclasses.replace(ctx, joint=None)
+    elif ctx.joint is None:
+        ctx = _with_joint_count([spec], ctx, registry)
     if spec.stratify_by is None:
         strata = [(None, ctx)]
     else:
         try:
-            strata = [
-                (label, dataclasses.replace(ctx, table=table))
-                for label, table in stratify(ctx.table, spec.stratify_by)
-            ]
+            if ctx.joint is not None:
+                strata = _joint_strata(ctx, spec.stratify_by)
+            else:
+                strata = [
+                    (label, dataclasses.replace(ctx, table=table))
+                    for label, table in stratify(ctx.table, spec.stratify_by)
+                ]
             if not strata:
                 raise NotComputable(f"no rows to stratify by {spec.stratify_by!r}")
         except OscalAssureError as exc:
@@ -418,6 +484,7 @@ def enforce_phase(
             )
         )
     selected = select_controls(plan, phase)
+    ctx = _with_joint_count(selected, ctx, registry)
 
     start = clock()
     verdicts = tuple(

@@ -277,10 +277,12 @@ def ingest_dependency_manifest(
         raise ValueError(f"unsupported manifest kind {kind!r}")
     session._check_open()
     source = Path(path)
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnparsableManifest(f"{source}: not valid UTF-8: {exc}") from exc
     pairs: set[tuple[str, str]] = set()
-    for line_number, raw_line in enumerate(
-        source.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

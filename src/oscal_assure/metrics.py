@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable
 
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
@@ -27,6 +29,9 @@ class MetricContext:
     bindings: RoleBindings | None = None
     params: dict[str, str] = field(default_factory=dict)
     evaluate_on: str = "target"
+    #: Set by enforce_phase: the phase's rows counted once (a stratum's
+    #: share of them for a stratified control). Built-ins read it, not table.
+    joint: JointCount | None = None
 
 
 @dataclass(frozen=True)
@@ -54,13 +59,9 @@ class MetricRegistry:
     def __init__(self) -> None:
         self._entries: dict[str, RegistryEntry] = {}
 
-    def register(
-        self,
-        key: str,
-        fn: MetricFunction,
-        required_roles: set[str] | frozenset[str] = frozenset(),
-        description: str = "",
-    ) -> None:
+    def register(self, key: str, fn: MetricFunction,
+                 required_roles: set[str] | frozenset[str] = frozenset(),
+                 description: str = "") -> None:
         if key in self._entries:
             raise DuplicateKey(f"metric key {key!r} is already registered")
         self._entries[key] = RegistryEntry(fn, frozenset(required_roles), description)
@@ -76,10 +77,9 @@ class MetricRegistry:
 
     def required_roles(self, key: str, evaluate_on: str = "target") -> frozenset[str]:
         """Concrete roles for one evaluation side ('subject' resolved)."""
-        roles = set()
-        for role in self.entry(key).required_roles:
-            roles.add(evaluate_on if role == "subject" else role)
-        return frozenset(roles)
+        return frozenset(
+            evaluate_on if role == "subject" else role for role in self.entry(key).required_roles
+        )
 
     def evaluate(self, key: str, ctx: MetricContext) -> MetricOutcome:
         entry = self.entry(key)
@@ -98,20 +98,58 @@ class MetricRegistry:
 
 def role_bound(ctx: MetricContext, role: str) -> bool:
     b = ctx.bindings
-    if b is None:
-        return False
-    if role == "target":
-        return True
-    if role == "group":
-        return ctx.params.get("group") is not None or b.group is not None
-    if role == "prediction":
-        return b.prediction is not None
-    if role == "weight":
-        return b.weight is not None
-    return False
+    return b is not None and {
+        "target": True,
+        "group": ctx.params.get("group") is not None or b.group is not None,
+        "prediction": b.prediction is not None,
+        "weight": b.weight is not None,
+    }.get(role, False)
 
 
-# --- column access -----------------------------------------------------------
+# --- column access and the joint count ----------------------------------------
+
+
+@dataclass(frozen=True)
+class JointCount:
+    """A table's rows counted once by their cells in `names`.
+
+    Keys hold each cell's cell_token, or None where the cell is missing.
+    Each key maps to [rows, rows without a weight, masses]: masses is
+    [rows] unweighted, else the float weight of every row that has one.
+    Every crosstab a built-in metric needs is a marginal of it.
+    """
+
+    names: tuple[str, ...]
+    cells: dict[tuple[str | None, ...], list]
+
+
+def count_rows(table: DataTable, names: Sequence[str], weight: str | None = None) -> JointCount:
+    """One pass over the rows; cell_token runs once per distinct value. The
+    weight stays out of the key because it is often distinct per row."""
+    columns = [table.column(name) for name in names]
+    keys = zip(*columns) if columns else repeat((), table.row_count)
+    if weight is None:
+        raw = {key: [n, 0, [n]] for key, n in Counter(keys).items()}
+    else:
+        weights: dict[tuple[Cell, ...], list[Cell]] = {}
+        for key, w in zip(keys, table.column(weight)):
+            weights.setdefault(key, []).append(w)
+        raw = {}
+        for key, ws in weights.items():
+            masses = [float(w) for w in ws if w is not None]
+            raw[key] = [len(ws), len(ws) - len(masses), masses]
+    memos: list[dict[Cell, str | None]] = [{None: None} for _ in columns]
+    cells: dict[tuple[str | None, ...], list] = {}
+    for key, cell in raw.items():
+        tokens = tuple(
+            memo[v] if v in memo else memo.setdefault(v, cell_token(v))
+            for memo, v in zip(memos, key)
+        )
+        # values that share a token (None aside) are one cell
+        if tokens in cells:
+            cell = [a + b for a, b in zip(cells[tokens], cell)]
+        cells[tokens] = cell
+    return JointCount(tuple(names), cells)
 
 
 def _bindings(ctx: MetricContext) -> RoleBindings:
@@ -120,29 +158,26 @@ def _bindings(ctx: MetricContext) -> RoleBindings:
     return ctx.bindings
 
 
-def _subject(ctx: MetricContext) -> tuple[tuple[Cell, ...], str]:
+def _column(ctx: MetricContext, name: str) -> str:
+    ctx.table.column_type(name)  # raises MissingColumn
+    return name
+
+
+def _subject(ctx: MetricContext) -> tuple[str, str]:
     """Column and positive label for the side the control evaluates."""
     b = _bindings(ctx)
     if ctx.evaluate_on == "prediction":
         if b.prediction is None or b.prediction_positive is None:
             raise MissingRole("prediction column is not bound")
-        return ctx.table.column(b.prediction), b.prediction_positive
-    return ctx.table.column(b.target), b.target_positive
+        return _column(ctx, b.prediction), b.prediction_positive
+    return _column(ctx, b.target), b.target_positive
 
 
-def _group_column(ctx: MetricContext) -> tuple[Cell, ...]:
-    b = _bindings(ctx)
-    name = ctx.params.get("group") or b.group
+def _group_column(ctx: MetricContext) -> str:
+    name = ctx.params.get("group") or _bindings(ctx).group
     if name is None:
         raise MissingRole("group column is not bound")
-    return ctx.table.column(name)
-
-
-def _weights(ctx: MetricContext) -> tuple[Cell, ...] | None:
-    b = ctx.bindings
-    if b is None or b.weight is None:
-        return None
-    return ctx.table.column(b.weight)
+    return _column(ctx, name)
 
 
 def _finite(value: float, what: str) -> float:
@@ -152,32 +187,27 @@ def _finite(value: float, what: str) -> float:
 
 
 def _crosstab(
-    columns: tuple[tuple[Cell, ...], ...], weights: tuple[Cell, ...] | None
+    ctx: MetricContext, names: tuple[str, ...]
 ) -> tuple[dict[tuple[str, ...], list[float]], int]:
-    """Group rows by the cell tokens of `columns`.
-
-    Returns {token tuple: [row weight, ...]} (1.0 per row when unweighted)
-    and the number of rows excluded for a missing value or weight. Equal
-    value tuples are counted first, so cell_token runs once per distinct
-    tuple; weights stay out of that key because they are often all distinct.
-    """
-    counts = Counter(zip(*columns))
-    tokens = {values: tuple(map(cell_token, values)) for values in counts if None not in values}
+    """{token tuple of `names`: masses} and the number of rows excluded for a
+    missing value in `names` or a missing weight: a marginal of ctx.joint,
+    or of a count of ctx.table when the context carries none."""
+    weight = _bindings(ctx).weight
+    if weight is not None:
+        _column(ctx, weight)
+    joint = ctx.joint if ctx.joint is not None else count_rows(ctx.table, names, weight)
+    at = [joint.names.index(name) for name in names]
+    pick = itemgetter(*at) if len(at) > 1 else lambda key: (key[at[0]],)
     cells: dict[tuple[str, ...], list[float]] = {}
     excluded = 0
-    if weights is None:
-        for values, n in counts.items():
-            if values in tokens:
-                cells.setdefault(tokens[values], []).extend(repeat(1.0, n))
-            else:
-                excluded += n
-        return cells, excluded
-    for values, w in zip(zip(*columns), weights):
-        key = tokens.get(values)
-        if key is None or w is None:
-            excluded += 1
+    for key, (rows, unweighted, masses) in joint.cells.items():
+        values = pick(key)
+        if None in values:
+            excluded += rows
         else:
-            cells.setdefault(key, []).append(float(w))
+            excluded += unweighted
+            if masses:  # not every row of the cell lacks its weight
+                cells.setdefault(values, []).extend(masses)
     return cells, excluded
 
 
@@ -186,8 +216,7 @@ def _crosstab(
 
 def class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     """Minority class mass over majority class mass on the target column."""
-    b = _bindings(ctx)
-    cells, excluded = _crosstab((ctx.table.column(b.target),), _weights(ctx))
+    cells, excluded = _crosstab(ctx, (_column(ctx, _bindings(ctx).target),))
     totals = {label: math.fsum(parts) for (label,), parts in cells.items()}
     if len(totals) < 2:
         raise NotComputable(
@@ -197,17 +226,14 @@ def class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     if high == 0:
         raise NotComputable("all class masses are zero")
     detail = {f"count:{label}": repr(total) for label, total in sorted(totals.items())}
-    return MetricOutcome(
-        value=_finite(low / high, "class imbalance ratio"),
-        excluded_rows=excluded,
-        detail=detail,
-    )
+    value = _finite(low / high, "class imbalance ratio")
+    return MetricOutcome(value=value, excluded_rows=excluded, detail=detail)
 
 
 def group_positive_rates(ctx: MetricContext) -> MetricOutcome:
     """Positive-label fraction per group; value is the maximum rate."""
     subject, positive = _subject(ctx)
-    cells, excluded = _crosstab((_group_column(ctx), subject), _weights(ctx))
+    cells, excluded = _crosstab(ctx, (_group_column(ctx), subject))
     mass: dict[str, list[float]] = {}
     for (label, _), parts in cells.items():
         mass.setdefault(label, []).extend(parts)
@@ -259,45 +285,31 @@ def disparate_impact(ctx: MetricContext) -> MetricOutcome:
         denominator = per_group[detail["max-group"]]
     if denominator == 0:
         raise NotComputable("highest group positive rate is zero")
-    return MetricOutcome(
-        value=_finite(numerator / denominator, "disparate impact"),
-        per_group=per_group,
-        excluded_rows=rates.excluded_rows,
-        detail=detail,
-    )
+    value = _finite(numerator / denominator, "disparate impact")
+    return replace(rates, value=value, detail=detail)
 
 
 def demographic_parity_difference(ctx: MetricContext) -> MetricOutcome:
     """Largest gap between group positive rates."""
     rates = group_positive_rates(ctx)
-    per_group = rates.per_group or {}
-    detail = dict(rates.detail or {})
+    per_group, detail = rates.per_group or {}, rates.detail or {}
     gap = per_group[detail["max-group"]] - per_group[detail["min-group"]]
-    return MetricOutcome(
-        value=_finite(gap, "demographic parity difference"),
-        per_group=per_group,
-        excluded_rows=rates.excluded_rows,
-        detail=detail,
-    )
+    return replace(rates, value=_finite(gap, "demographic parity difference"))
 
 
 def _confusion_counts(ctx: MetricContext) -> tuple[float, float, float, float, int]:
     b = _bindings(ctx)
     if b.prediction is None or b.prediction_positive is None:
         raise MissingRole("confusion metrics need a bound prediction column")
-    cells, excluded = _crosstab(
-        (ctx.table.column(b.target), ctx.table.column(b.prediction)), _weights(ctx)
-    )
-    tp: list[float] = []
-    tn: list[float] = []
-    fp: list[float] = []
-    fn: list[float] = []
+    cells, excluded = _crosstab(ctx, (_column(ctx, b.target), _column(ctx, b.prediction)))
+    masses: dict[tuple[bool, bool], list[float]] = {}  # (actual, predicted) -> masses
     for (y, p), parts in cells.items():
-        actual = y == b.target_positive
-        predicted = p == b.prediction_positive
-        bucket = tp if (actual and predicted) else fn if actual else fp if predicted else tn
-        bucket.extend(parts)
-    return math.fsum(tp), math.fsum(tn), math.fsum(fp), math.fsum(fn), excluded
+        masses.setdefault((y == b.target_positive, p == b.prediction_positive), []).extend(parts)
+    tp, tn, fp, fn = (
+        math.fsum(masses.get(cell, []))
+        for cell in ((True, True), (False, False), (False, True), (True, False))
+    )
+    return tp, tn, fp, fn, excluded
 
 
 def _ratio(numerator: float, denominator: float, what: str) -> float:
@@ -324,9 +336,7 @@ def specificity(ctx: MetricContext) -> MetricOutcome:
 
 def dice(ctx: MetricContext) -> MetricOutcome:
     tp, _, fp, fn, excluded = _confusion_counts(ctx)
-    return MetricOutcome(
-        value=_ratio(2 * tp, 2 * tp + fp + fn, "dice"), excluded_rows=excluded
-    )
+    return MetricOutcome(value=_ratio(2 * tp, 2 * tp + fp + fn, "dice"), excluded_rows=excluded)
 
 
 def confusion_metrics(ctx: MetricContext) -> dict[str, MetricOutcome]:
@@ -335,12 +345,8 @@ def confusion_metrics(ctx: MetricContext) -> dict[str, MetricOutcome]:
     Zero-denominator metrics are omitted rather than failing the rest.
     """
     results: dict[str, MetricOutcome] = {}
-    for key, fn in (
-        ("accuracy", accuracy),
-        ("sensitivity", sensitivity),
-        ("specificity", specificity),
-        ("dice", dice),
-    ):
+    for key, fn in (("accuracy", accuracy), ("sensitivity", sensitivity),
+                    ("specificity", specificity), ("dice", dice)):
         try:
             results[key] = fn(ctx)
         except NotComputable:
@@ -354,58 +360,51 @@ def group_reweight(ctx: MetricContext) -> list[float]:
     Makes group and outcome independent under the weighted distribution.
     Rows missing group or outcome get a neutral weight of 1.0.
     """
-    b = _bindings(ctx)
-    group = _group_column(ctx)
-    target = ctx.table.column(b.target)
-    cells, _ = _crosstab((group, target), None)
+    names = (_group_column(ctx), _column(ctx, _bindings(ctx).target))
+    cells = {key: cell[0] for key, cell in count_rows(ctx.table, names).cells.items()
+             if None not in key}
     if not cells:
         raise NotComputable("no rows with group and outcome present")
     group_counts: dict[str, int] = {}
     class_counts: dict[str, int] = {}
-    for (gl, yl), parts in cells.items():
-        group_counts[gl] = group_counts.get(gl, 0) + len(parts)
-        class_counts[yl] = class_counts.get(yl, 0) + len(parts)
+    for (gl, yl), n in cells.items():
+        group_counts[gl] = group_counts.get(gl, 0) + n
+        class_counts[yl] = class_counts.get(yl, 0) + n
     observed = sum(group_counts.values())
     # w = (n_g/N)(n_y/N) / (n_gy/N) = n_g*n_y / (N*n_gy)
     cell_weight = {
-        (gl, yl): group_counts[gl] * class_counts[yl] / (observed * len(parts))
-        for (gl, yl), parts in cells.items()
+        (gl, yl): group_counts[gl] * class_counts[yl] / (observed * n)
+        for (gl, yl), n in cells.items()
     }
+    group, target = map(ctx.table.column, names)
     return [
         1.0 if g is None or y is None else cell_weight[(cell_token(g), cell_token(y))]
         for g, y in zip(group, target)
     ]
 
 
+def is_builtin(fn: MetricFunction) -> bool:
+    """Whether fn is a built-in metric, which reads ctx.joint when set."""
+    return fn in (class_imbalance_ratio, group_positive_rates, disparate_impact,
+                  demographic_parity_difference, accuracy, sensitivity, specificity, dice)
+
+
 def default_registry() -> MetricRegistry:
     """Fresh registry with the built-in metric set."""
     registry = MetricRegistry()
-    registry.register(
-        "class_imbalance_ratio",
-        class_imbalance_ratio,
-        {"target"},
-        "minority/majority class mass on the target column",
-    )
-    registry.register(
-        "group_positive_rates",
-        group_positive_rates,
-        {"subject", "group"},
-        "positive-label fraction per group (value = max rate)",
-    )
-    registry.register(
-        "disparate_impact",
-        disparate_impact,
-        {"subject", "group"},
-        "min over max group positive rate",
-    )
-    registry.register(
-        "demographic_parity_difference",
-        demographic_parity_difference,
-        {"subject", "group"},
-        "max minus min group positive rate",
-    )
-    registry.register("accuracy", accuracy, {"target", "prediction"}, "(TP+TN)/N")
-    registry.register("sensitivity", sensitivity, {"target", "prediction"}, "TP/(TP+FN)")
-    registry.register("specificity", specificity, {"target", "prediction"}, "TN/(TN+FP)")
-    registry.register("dice", dice, {"target", "prediction"}, "2TP/(2TP+FP+FN)")
+    for key, fn, roles, description in (
+        ("class_imbalance_ratio", class_imbalance_ratio, {"target"},
+         "minority/majority class mass on the target column"),
+        ("group_positive_rates", group_positive_rates, {"subject", "group"},
+         "positive-label fraction per group (value = max rate)"),
+        ("disparate_impact", disparate_impact, {"subject", "group"},
+         "min over max group positive rate"),
+        ("demographic_parity_difference", demographic_parity_difference,
+         {"subject", "group"}, "max minus min group positive rate"),
+        ("accuracy", accuracy, {"target", "prediction"}, "(TP+TN)/N"),
+        ("sensitivity", sensitivity, {"target", "prediction"}, "TP/(TP+FN)"),
+        ("specificity", specificity, {"target", "prediction"}, "TN/(TN+FP)"),
+        ("dice", dice, {"target", "prediction"}, "2TP/(2TP+FP+FN)"),
+    ):
+        registry.register(key, fn, roles, description)
     return registry

@@ -25,6 +25,18 @@ from .errors import (
     UnparsableThreshold,
 )
 
+#: PyYAML's libyaml-backed safe loader when it is built in (about ten
+#: times faster on a plan), else the pure-Python one.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+#: Deepest nesting a YAML plan may have. Both loaders compose nodes
+#: recursively: the pure-Python one raises RecursionError a few hundred
+#: levels down, and libyaml overflows the C stack tens of thousands of
+#: levels down, which crashes the process. Neither parser builds its event
+#: stream recursively, so the depth is checked there first, and both loaders
+#: accept and reject the same documents.
+_YAML_MAX_DEPTH = 100
+
 #: Default namespace for the AI-assurance properties. Matching is by name;
 #: the namespace is only consulted when a property entry carries one.
 DEFAULT_PROPERTY_NS = "urn:oscal-assure:ai"
@@ -276,12 +288,22 @@ def extract_control_spec(
     )
 
 
-def _prop_value_text(value) -> str:
+def _text(value, what: str) -> str:
+    """A scalar field as text. A list or mapping is refused rather than
+    passed through str(), which would expand every YAML alias in it: a
+    few hundred bytes of nested aliases can stand for gigabytes of text."""
+    if isinstance(value, (dict, list)):
+        kind = "mapping" if isinstance(value, dict) else "list"
+        raise MalformedDocument(f"{what} must be a scalar, not a {kind}")
+    return str(value)
+
+
+def _prop_value_text(value, control_id: str) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return _text(value, f"control {control_id!r}: prop value")
 
 
 def _parse_props(raw, control_id: str) -> list[PropertyEntry]:
@@ -291,19 +313,33 @@ def _parse_props(raw, control_id: str) -> list[PropertyEntry]:
         raise MalformedDocument(f"control {control_id!r}: props must be a list")
     entries = []
     for item in raw:
-        if not isinstance(item, dict) or not str(item.get("name", "")).strip():
+        field = item.get("name", "") if isinstance(item, dict) else ""
+        name = _text(field, f"control {control_id!r}: prop name").strip()
+        if not name:
             raise MalformedDocument(
                 f"control {control_id!r}: each prop needs a non-empty name"
             )
         ns = item.get("ns")
         entries.append(
             PropertyEntry(
-                name=str(item["name"]).strip(),
-                value=_prop_value_text(item.get("value", "")),
-                ns=str(ns) if ns is not None else None,
+                name=name,
+                value=_prop_value_text(item.get("value", ""), control_id),
+                ns=_text(ns, f"control {control_id!r}: prop ns") if ns is not None else None,
             )
         )
     return entries
+
+
+def _load_yaml(source: bytes):
+    depth = 0
+    for event in yaml.parse(source, Loader=_YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _YAML_MAX_DEPTH:
+                raise MalformedDocument(f"invalid YAML: nested deeper than {_YAML_MAX_DEPTH}")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return yaml.load(source, Loader=_YAML_LOADER)
 
 
 def parse_plan_document(
@@ -319,7 +355,7 @@ def parse_plan_document(
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
     elif format == "yaml":
         try:
-            document = yaml.safe_load(source)
+            document = _load_yaml(source)
         except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise MalformedDocument(f"invalid YAML: {exc}") from exc
     else:
@@ -334,8 +370,8 @@ def parse_plan_document(
     metadata = body.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise MalformedDocument("'metadata' must be an object")
-    title = str(metadata.get("title", "")).strip()
-    version = str(metadata.get("version", "1.0"))
+    title = _text(metadata.get("title", ""), "metadata.title").strip()
+    version = _text(metadata.get("version", "1.0"), "metadata.version")
     raw_modified = metadata.get("last-modified")
     if raw_modified is None:
         last_modified = DETERMINISTIC_EPOCH
@@ -348,10 +384,10 @@ def parse_plan_document(
         )
     else:
         try:
-            last_modified = parse_timestamp(str(raw_modified))
+            last_modified = parse_timestamp(_text(raw_modified, "metadata.last-modified"))
         except ValueError as exc:
             raise MalformedDocument(f"invalid last-modified timestamp: {exc}") from exc
-    plan_uuid = str(body.get("uuid") or name_uuid(None, f"assessment-plan:{title}"))
+    plan_uuid = _text(body.get("uuid") or name_uuid(None, f"assessment-plan:{title}"), "uuid")
 
     controls: list[ControlSpec] = []
     seen: set[str] = set()
@@ -365,18 +401,19 @@ def parse_plan_document(
         if not isinstance(requirements, list):
             raise MalformedDocument("'implemented-requirements' must be a list")
         for requirement in requirements:
-            if not isinstance(requirement, dict) or not str(
-                requirement.get("control-id", "")
-            ).strip():
+            field = requirement.get("control-id", "") if isinstance(requirement, dict) else ""
+            control_id = _text(field, "control-id").strip()
+            if not control_id:
                 raise MalformedDocument(
                     "each implemented-requirement needs a control-id"
                 )
-            control_id = str(requirement["control-id"]).strip()
             if control_id in seen:
                 raise DuplicateControlId(f"control id {control_id!r} appears twice")
             seen.add(control_id)
             props = _parse_props(requirement.get("props"), control_id)
-            description = str(requirement.get("description", "")).strip()
+            description = _text(
+                requirement.get("description", ""), f"control {control_id!r}: description"
+            ).strip()
             controls.append(extract_control_spec(props, control_id, description, ns=ns))
 
     return AssessmentPlan(

@@ -46,16 +46,17 @@ def table_from_rows(header: list[str], rows: list[list[str]]):
     return load_table(buffer.getvalue().encode("utf-8"))
 
 
-def replace_random_node(document, data, values) -> None:
-    """Walk from the root of a JSON-like document down a path hypothesis
-    draws, and replace the node where the walk stops with a drawn value."""
+def replace_random_node(document, draw, values) -> None:
+    """Walk from the root of a JSON-like document down a path that `draw`
+    (hypothesis's data.draw, or a composite strategy's draw) picks, and
+    replace the node where the walk stops with a drawn value."""
     node = document
     while True:
         keys = list(node) if isinstance(node, dict) else range(len(node))
-        key = data.draw(st.sampled_from(keys))
+        key = draw(st.sampled_from(keys))
         child = node[key]
-        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
-            node[key] = data.draw(values)
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            node[key] = draw(values)
             return
         node = child
 

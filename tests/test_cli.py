@@ -345,6 +345,18 @@ def test_failed_run_leaves_no_run_directory_behind(tmp_path, monkeypatch):
     assert list((tmp_path / "vault" / "runs").iterdir()) == []
 
 
+def test_run_with_an_undecodable_lockfile_exits_one_and_leaves_no_run_directory(
+    tmp_path, capsys
+):
+    lockfile = tmp_path / "requirements-lock.txt"
+    lockfile.write_bytes(b"\xffnumpy==1.0\n")
+    args = ["run", "r", str(SCENARIO_A_PLAN), "--bom", str(lockfile),
+            "--vault", str(tmp_path / "vault")]
+    assert main(args) == 1
+    assert "not valid UTF-8" in capsys.readouterr().err
+    assert list((tmp_path / "vault" / "runs").iterdir()) == []
+
+
 def test_run_unwritable_vault_exits_one(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not dir")
@@ -527,6 +539,24 @@ def test_trace_prints_chain_top_down_with_labels(capsys):
     assert kinds == ["policy", "objective", "risk", "treatment", "control"]
     assert "gender discrimination in credit approval" in lines[2]
     assert "apply group-aware reweighting" in lines[3]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[1, 2]", "expected a JSON object"),
+        (b'"a label"', "expected a JSON object"),
+        (b'{"R-1": "\xff"}', "can't decode byte 0xff"),
+        (b"{not json", "Expecting property name"),
+    ],
+    ids=["list", "string", "undecodable", "invalid"],
+)
+def test_trace_with_an_unusable_labels_file_exits_one(tmp_path, capsys, content, message):
+    labels = tmp_path / "labels.json"
+    labels.write_bytes(content)
+    code = main(["trace", str(SCENARIO_A_PLAN), "credit-gender-di", "--labels", str(labels)])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_trace_control_without_ids_prints_control_line_only(capsys):

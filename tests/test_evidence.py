@@ -249,6 +249,13 @@ def test_unparsable_manifest_line_reports_number(session, tmp_path):
         ingest_dependency_manifest(session, manifest)
 
 
+def test_undecodable_manifest_is_unparsable(session, tmp_path):
+    manifest = tmp_path / "binary.txt"
+    manifest.write_bytes(b"\xff\xfeg\x00o\x00o\x00d\x00")
+    with pytest.raises(UnparsableManifest, match="not valid UTF-8"):
+        ingest_dependency_manifest(session, manifest)
+
+
 # --- finalize ------------------------------------------------------------------------
 
 

@@ -1,20 +1,23 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG2_PLAN, SCENARIO_A_PLAN, replace_random_node
 from oscal_assure import parse_plan_document, serialize_canonical
+from oscal_assure import plan as plan_module
 from oscal_assure.errors import (
     DuplicateControlId,
     OscalAssureError,
     InvalidEnumValue,
     MalformedDocument,
     MissingRequiredProperty,
+    PolicyError,
     UnparsableThreshold,
 )
 from oscal_assure.plan import (
@@ -367,15 +370,92 @@ def test_plan_parser_returns_or_raises_package_error_for_any_bytes(source, forma
     parses_or_raises_package_error(source, format)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([FIG2_PLAN, SCENARIO_A_PLAN]), st.sampled_from(["json", "yaml"]), st.data())
-def test_plan_parser_returns_or_raises_package_error_for_any_edit_of_a_real_plan(
-    path, format, data
-):
-    document = yaml.safe_load(path.read_bytes())
-    replace_random_node(document, data, plan_values)
+@st.composite
+def edited_plans(draw, format: str) -> bytes:
+    """A real plan with one node replaced, encoded in `format`."""
+    document = yaml.safe_load(draw(st.sampled_from([FIG2_PLAN, SCENARIO_A_PLAN])).read_bytes())
+    replace_random_node(document, draw, plan_values)
     if format == "json":
-        source = json.dumps(document, default=str).encode()
-    else:
-        source = yaml.safe_dump(document, allow_unicode=True).encode()
-    parses_or_raises_package_error(source, format)
+        return json.dumps(document, default=str).encode()
+    return yaml.safe_dump(document, allow_unicode=True).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["json", "yaml"]), st.data())
+def test_plan_parser_returns_or_raises_package_error_for_any_edit_of_a_real_plan(format, data):
+    parses_or_raises_package_error(data.draw(edited_plans(format)), format)
+
+
+# --- the two YAML loaders ------------------------------------------------------------
+
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def parsed_with(loader, source: bytes):
+    """The plan parsed with `loader`, or PolicyError if it is rejected."""
+    with mock.patch.object(plan_module, "_YAML_LOADER", loader):
+        try:
+            return parse_plan_document(source, "yaml")
+        except PolicyError:
+            return PolicyError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200) | edited_plans("yaml"))
+@example(b"!")  # None from one loader, "" from the other: both no mapping
+def test_both_yaml_loaders_give_an_equal_plan_or_both_reject_it(source):
+    assert len({repr(parsed_with(loader, source)) for loader in YAML_LOADERS}) == 1
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_both_yaml_loaders_accept_100_levels_of_nesting_and_reject_101(loader):
+    plan = SCENARIO_A_PLAN.read_bytes()
+    with mock.patch.object(plan_module, "_YAML_LOADER", loader):
+        # the document's root mapping is the first level
+        assert parse_plan_document(plan + b"x: " + b"[" * 99 + b"]" * 99 + b"\n", "yaml")
+        with pytest.raises(MalformedDocument, match="nested deeper than 100"):
+            parse_plan_document(plan + b"x: " + b"[" * 100 + b"]" * 100 + b"\n", "yaml")
+
+
+def _alias_bomb(field: str) -> bytes:
+    """A plan whose `field` aliases 4 nested levels of 9 aliases: 9**4
+    copies of a word, from about 300 bytes."""
+    lines = ["l0: &l0 [" + ", ".join(["lol"] * 9) + "]"]
+    lines += [f"l{i}: &l{i} [" + ", ".join([f"*l{i - 1}"] * 9) + "]" for i in range(1, 5)]
+    fields = {
+        "title": "  metadata: {title: *l4}",
+        "version": "  metadata: {version: *l4}",
+        "last-modified": "  metadata: {last-modified: *l4}",
+        "uuid": "  uuid: *l4",
+        "mapping-title": "  metadata: {title: {words: *l4}}",
+        "control-id": "  control-implementations: [{implemented-requirements: "
+        "[{control-id: *l4}]}]",
+        "description": "  control-implementations: [{implemented-requirements: "
+        "[{control-id: c1, description: *l4}]}]",
+    }
+    props = {
+        "prop-value": "{name: risk_id, value: *l4}",
+        "prop-name": "{name: *l4, value: x}",
+        "prop-ns": "{name: risk_id, value: x, ns: *l4}",
+    }
+    if field in props:
+        fields[field] = (
+            "  control-implementations: [{implemented-requirements: [{control-id: c1, props: ["
+            "{name: metric_key, value: accuracy}, {name: operator, value: ge}, "
+            f"{{name: threshold, value: '0.5'}}, {props[field]}]}}]}}]"
+        )
+    return "\n".join([*lines, "assessment-plan:", fields[field], ""]).encode()
+
+
+ALIAS_BOMB_FIELDS = [
+    "title", "version", "last-modified", "uuid", "mapping-title", "control-id",
+    "description", "prop-value", "prop-name", "prop-ns",
+]
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("field", ALIAS_BOMB_FIELDS)
+def test_text_field_that_is_no_scalar_is_malformed(field, loader):
+    with mock.patch.object(plan_module, "_YAML_LOADER", loader):
+        with pytest.raises(MalformedDocument, match="must be a scalar"):
+            parse_plan_document(_alias_bomb(field), "yaml")

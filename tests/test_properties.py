@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
+import operator
 import random
 from unittest import mock
 
@@ -11,7 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REGISTRY_METRICS,
     assert_structurally_valid,
+    make_control,
+    make_plan,
     random_bound_table,
     random_plan,
     table_from_rows,
@@ -23,12 +28,14 @@ from oscal_assure import (
     compare,
     default_registry,
     demographic_parity_difference,
+    determinize,
     disparate_impact,
     dump_table,
     enforce_phase,
     group_positive_rates,
     group_reweight,
     load_table,
+    serialize_canonical,
 )
 from oscal_assure import metrics
 from oscal_assure.enforcement import EnforcementAction, VerdictOutcome
@@ -36,12 +43,22 @@ from oscal_assure.errors import (
     DataError,
     EmptyInput,
     MissingRole,
+    NonCategoricalColumn,
     NotComputable,
+    OscalAssureError,
     RaggedRows,
     UndecodableBytes,
 )
 from oscal_assure.metrics import dice
-from oscal_assure.plan import LifecyclePhase, Operator
+from oscal_assure.plan import (
+    ControlSpec,
+    EnforcementMode,
+    EvaluationMethod,
+    EvaluationWindow,
+    LifecyclePhase,
+    Operator,
+    TargetType,
+)
 from oscal_assure.results import FindingStatus
 from oscal_assure.tabular import _BOOL_TOKENS, Cell, ColumnType, DataTable, cell_token
 
@@ -276,14 +293,36 @@ def test_randomized_enforcement_invariants(seed):
 
 # --- built-in metrics against per-row reference loops ---------------------------
 # The per-row loops below are the metric passes as they were before the
-# built-ins shared one crosstab. Row grouping, exclusion and summation order
-# must not change an outcome, so the two are compared by exact repr.
+# built-ins shared one crosstab, with the column access they had then. Row
+# grouping, exclusion and summation order must not change an outcome, so
+# the two are compared by exact repr.
+
+
+def _reference_subject(ctx: MetricContext) -> tuple[tuple[Cell, ...], str]:
+    b = metrics._bindings(ctx)
+    if ctx.evaluate_on == "prediction":
+        if b.prediction is None or b.prediction_positive is None:
+            raise MissingRole("prediction column is not bound")
+        return ctx.table.column(b.prediction), b.prediction_positive
+    return ctx.table.column(b.target), b.target_positive
+
+
+def _reference_group_column(ctx: MetricContext) -> tuple[Cell, ...]:
+    name = ctx.params.get("group") or metrics._bindings(ctx).group
+    if name is None:
+        raise MissingRole("group column is not bound")
+    return ctx.table.column(name)
+
+
+def _reference_weights(ctx: MetricContext) -> tuple[Cell, ...] | None:
+    b = ctx.bindings
+    return None if b is None or b.weight is None else ctx.table.column(b.weight)
 
 
 def _reference_class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     b = metrics._bindings(ctx)
     target = ctx.table.column(b.target)
-    weights = metrics._weights(ctx)
+    weights = _reference_weights(ctx)
 
     masses: dict[str, list[float]] = {}
     excluded = 0
@@ -310,9 +349,9 @@ def _reference_class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
 
 
 def _reference_group_positive_rates(ctx: MetricContext) -> MetricOutcome:
-    subject, positive = metrics._subject(ctx)
-    group = metrics._group_column(ctx)
-    weights = metrics._weights(ctx)
+    subject, positive = _reference_subject(ctx)
+    group = _reference_group_column(ctx)
+    weights = _reference_weights(ctx)
 
     mass: dict[str, list[float]] = {}
     positive_mass: dict[str, list[float]] = {}
@@ -354,7 +393,7 @@ def _reference_confusion_counts(ctx: MetricContext) -> tuple[float, float, float
         raise MissingRole("confusion metrics need a bound prediction column")
     target = ctx.table.column(b.target)
     prediction = ctx.table.column(b.prediction)
-    weights = metrics._weights(ctx)
+    weights = _reference_weights(ctx)
 
     tp: list[float] = []
     tn: list[float] = []
@@ -376,7 +415,7 @@ def _reference_confusion_counts(ctx: MetricContext) -> tuple[float, float, float
 
 def _reference_group_reweight(ctx: MetricContext) -> list[float]:
     b = metrics._bindings(ctx)
-    group = metrics._group_column(ctx)
+    group = _reference_group_column(ctx)
     target = ctx.table.column(b.target)
 
     group_counts: dict[str, int] = {}
@@ -493,6 +532,258 @@ def test_builtin_metrics_match_per_row_reference_loops(ctx):
     ):
         expected = _all_outcomes(ctx)
     assert _all_outcomes(ctx) == expected
+
+
+# --- enforce_phase against a per-row oracle ------------------------------------
+# Every verdict, action, observed value, stratum label, excluded-row count
+# and error text of enforce_phase is recomputed from scratch: the per-row
+# reference loops above on per-row copies of each stratum, and plain
+# comparison operators. Thresholds are drawn at, and one ulp either side
+# of, the values the reference observes, so a boundary fault shows.
+
+ORACLE_COMPARE = {
+    Operator.GT: operator.gt,
+    Operator.GE: operator.ge,
+    Operator.LT: operator.lt,
+    Operator.LE: operator.le,
+    Operator.EQ: operator.eq,
+    Operator.NE: operator.ne,
+}
+ORACLE_PHASES = (LifecyclePhase.TRAINING, LifecyclePhase.VALIDATION)
+ORACLE_ACTIONS = {
+    EnforcementMode.MONITOR: "logged",
+    EnforcementMode.WARN: "warned",
+    EnforcementMode.BLOCK: "blocked",
+}
+
+
+def _stratum_rows(ctx: MetricContext) -> MetricOutcome:
+    """A metric registered from outside: it must see each stratum's table."""
+    return MetricOutcome(value=float(ctx.table.row_count))
+
+
+def _oracle_registry():
+    registry = default_registry()
+    registry.register("stratum_rows", _stratum_rows, {"target"})
+    # a custom metric that calls a built-in must still see stratum tables
+    registry.register(
+        "wrapped_accuracy", lambda ctx: metrics.accuracy(ctx), {"target", "prediction"}
+    )
+    return registry
+
+
+def _reference_stratify(table: DataTable, by: str) -> list[tuple[str, DataTable]]:
+    """Rows grouped by the label of `by`, one row at a time, labels in order."""
+    column = table.column(by)
+    if table.column_type(by) is not ColumnType.CATEGORICAL:
+        raise NonCategoricalColumn(
+            f"column {by!r} is {table.column_type(by).value}, stratification needs categorical"
+        )
+    rows: dict[str, list[int]] = {}
+    for i, value in enumerate(column):
+        rows.setdefault(cell_token(value), []).append(i)
+    return [
+        (
+            label,
+            DataTable(
+                table.column_names,
+                table.column_types,
+                tuple(tuple(col[i] for i in rows[label]) for col in table.columns),
+                len(rows[label]),
+            ),
+        )
+        for label in sorted(rows)
+    ]
+
+
+def _reference_strata(spec: ControlSpec, ctx: MetricContext, registry) -> list:
+    """(label, outcome or error) per stratum, computed under the reference loops."""
+    base = MetricContext(
+        ctx.table,
+        ctx.bindings,
+        {**ctx.params, **spec.metric_params},
+        "prediction" if spec.target_type is TargetType.MODEL else "target",
+    )
+    tables = [(None, ctx.table)]
+    if spec.stratify_by is not None:
+        try:
+            tables = _reference_stratify(ctx.table, spec.stratify_by)
+            if not tables:
+                raise NotComputable(f"no rows to stratify by {spec.stratify_by!r}")
+        except OscalAssureError as exc:
+            return [(None, exc)]
+    strata = []
+    for label, table in tables:
+        try:
+            result = registry.evaluate(spec.metric_key, dataclasses.replace(base, table=table))
+        except OscalAssureError as exc:
+            result = exc
+        strata.append((label, result))
+    return strata
+
+
+def _reference_verdict(spec: ControlSpec, strata, mode_override) -> tuple:
+    for executable, reason in (
+        (spec.evaluation_method is EvaluationMethod.AUTOMATED, "manual-attestation-required"),
+        (spec.evaluation_window is EvaluationWindow.PER_RUN, "window-not-executable"),
+    ):
+        if not executable:
+            return (spec.control_id, "skipped", reason, "none",
+                    [(None, "None", 0, f"skipped: {reason}", "None")])
+    observations = []
+    failed = False
+    for label, result in strata:
+        if isinstance(result, OscalAssureError):
+            failed = True
+            observations.append((label, "None", 0, f"evaluation-error: {result}", "None"))
+            continue
+        failed |= not ORACLE_COMPARE[spec.operator](result.value, spec.threshold)
+        n = result.excluded_rows
+        remarks = f"excluded {n} row(s) with missing bound values" if n else None
+        per_group = repr(result.per_group or None)
+        observations.append((label, repr(result.value), n, remarks, per_group))
+    action = ORACLE_ACTIONS[mode_override or spec.enforcement_mode] if failed else "none"
+    return (spec.control_id, "not-satisfied" if failed else "satisfied", None, action,
+            observations)
+
+
+def _verdict_summary(verdict) -> tuple:
+    return (
+        verdict.control_id,
+        verdict.outcome.value,
+        verdict.skip_reason.value if verdict.skip_reason else None,
+        verdict.enforcement_action_taken.value,
+        [
+            (o.stratum, repr(o.observed_value), o.excluded_rows, o.remarks, repr(o.per_group))
+            for o in verdict.observations
+        ],
+    )
+
+
+def _deterministic_bytes(report) -> bytes:
+    """The bytes `enforce --deterministic` writes for a report."""
+    results, mapping = determinize(report.assessment_results)
+    data = serialize_canonical(results)
+    if report.poam is not None:
+        data += serialize_canonical(determinize(report.poam, reference_map=mapping)[0])
+    return data
+
+
+def _with_columns(table: DataTable, names, columns) -> DataTable:
+    return DataTable(
+        table.column_names + tuple(names),
+        table.column_types + (ColumnType.CATEGORICAL,) * len(names),
+        table.columns + tuple(columns),
+        table.row_count,
+    )
+
+
+def _permuted(table: DataTable, order: list[int]) -> DataTable:
+    return dataclasses.replace(
+        table, columns=tuple(tuple(col[i] for i in order) for col in table.columns)
+    )
+
+
+@st.composite
+def oracle_contexts(draw) -> MetricContext:
+    # the table comes from a seeded generator: drawing each cell through
+    # hypothesis would take most of the test's time
+    rng = random.Random(draw(st.integers(min_value=0)))
+
+    def values(pool):
+        """A non-empty part of pool (one value makes a single-valued
+        column), sometimes with "" (a missing cell)."""
+        return rng.sample(pool, rng.randint(1, len(pool))) + [""] * rng.randint(0, 1)
+
+    pools = [
+        values(GROUP_POOLS[rng.choice(sorted(GROUP_POOLS))]),  # g
+        values(["u", "v"]),  # h
+        values(["1", "0"]),  # y
+        values(["1", "0"]),  # p
+        values(WEIGHT_POOLS[rng.choice(sorted(WEIGHT_POOLS))]),  # w
+    ]
+    distinct = [[rng.choice(pool) for pool in pools] for _ in range(rng.randint(0, 25))]
+    rows = [row for row in distinct for _ in range(rng.randint(1, 3))]
+    rng.shuffle(rows)
+    table = table_from_rows(["g", "h", "y", "p", "w"], rows)
+    # hand-built: a missing cell and an empty string are unequal cells that
+    # share the label ""
+    s_pool = rng.sample(["x", "y", "", None], rng.randint(1, 4))
+    table = _with_columns(table, ["s"], [tuple(rng.choice(s_pool) for _ in rows)])
+    bindings = bind_roles(
+        table, "y", "1", group="g", prediction="p", prediction_positive="1",
+        weight="w" if rng.random() < 0.5 else None,
+    )
+    return MetricContext(table, bindings)
+
+
+oracle_controls = st.builds(
+    make_control,
+    st.just("draft"),
+    metric_key=st.sampled_from([*REGISTRY_METRICS, "stratum_rows", "wrapped_accuracy", "nope"]),
+    operator=st.sampled_from(list(Operator)),
+    lifecycle_phases=st.lists(st.sampled_from(ORACLE_PHASES), min_size=1, unique=True).map(
+        frozenset
+    ),
+    enforcement_mode=st.sampled_from(list(EnforcementMode)),
+    evaluation_method=st.sampled_from([EvaluationMethod.AUTOMATED] * 6 + list(EvaluationMethod)),
+    evaluation_window=st.sampled_from([EvaluationWindow.PER_RUN] * 6 + list(EvaluationWindow)),
+    target_type=st.sampled_from([TargetType.DATASET, TargetType.MODEL]),
+    # y is an integer column; "nope" is no column at all
+    stratify_by=st.sampled_from([None, None, "s", "g", "h", "y", "nope"]),
+    metric_params=st.fixed_dictionaries(
+        {},
+        optional={
+            "group": st.sampled_from(["h", "s", "nope"]),
+            "privileged": st.sampled_from(["a", "0", "0.0", "true", "u", "x", ""]),
+        },
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(oracle_contexts(), st.lists(oracle_controls, min_size=1, max_size=5), st.data())
+def test_enforce_phase_matches_the_per_row_oracle(ctx, drafts, data):
+    with mock.patch.multiple(
+        metrics,
+        class_imbalance_ratio=_reference_class_imbalance_ratio,
+        group_positive_rates=_reference_group_positive_rates,
+        _confusion_counts=_reference_confusion_counts,
+    ):
+        registry = _oracle_registry()
+        strata = [_reference_strata(draft, ctx, registry) for draft in drafts]
+
+    specs = []
+    for i, (draft, draft_strata) in enumerate(zip(drafts, strata)):
+        seen = [r.value for _, r in draft_strata if not isinstance(r, OscalAssureError)]
+        near = [math.nextafter(v, d) for v in seen for d in (-math.inf, math.inf)]
+        threshold = data.draw(st.sampled_from([*seen, *near, 0.0, 0.5, 1.0]) | finite_floats)
+        specs.append(dataclasses.replace(draft, control_id=f"c{i}", threshold=threshold))
+    plan = make_plan(specs)
+    mode_override = data.draw(st.sampled_from([None, None, *EnforcementMode]))
+
+    order = data.draw(st.permutations(range(ctx.table.row_count)))
+    unread = tuple(None if i % 2 else "z" for i in range(ctx.table.row_count))
+    variants = [
+        dataclasses.replace(ctx, table=_permuted(ctx.table, order)),
+        dataclasses.replace(ctx, table=_with_columns(ctx.table, ["unread"], [unread])),
+    ]
+    registry = _oracle_registry()
+    for phase in ORACLE_PHASES:
+        report = enforce_phase(plan, phase, ctx, registry, mode_override=mode_override)
+        expected = [
+            _reference_verdict(spec, draft_strata, mode_override)
+            for spec, draft_strata in zip(specs, strata)
+            if phase in spec.lifecycle_phases
+        ]
+        assert [_verdict_summary(v) for v in report.verdicts] == expected
+        assert report.blocked == any(verdict[3] == "blocked" for verdict in expected)
+
+        # metamorphic: row order and an unread column change no output byte
+        output = _deterministic_bytes(report)
+        for variant in variants:
+            again = enforce_phase(plan, phase, variant, registry, mode_override=mode_override)
+            assert _deterministic_bytes(again) == output
 
 
 # --- load_table against the row-list loader ----------------------------------------

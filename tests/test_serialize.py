@@ -16,6 +16,7 @@ from oscal_assure import (
     parse_results_document,
     serialize_canonical,
 )
+from oscal_assure.canonical import canonical_json_bytes
 from oscal_assure.errors import MalformedDocument, OscalAssureError, SerializationFailure
 from oscal_assure.plan import LifecyclePhase
 
@@ -234,5 +235,39 @@ def test_parsers_return_or_raise_package_error_for_any_edit_of_a_real_document(
     demo_documents, root, data
 ):
     body = json.loads(json.dumps(demo_documents[root]))
-    replace_random_node(body, data, json_values)
+    replace_random_node(body, data.draw, json_values)
     parses_or_raises_package_error(root, body)
+
+
+# --- canonical_json_bytes against json.dumps ----------------------------------
+
+encodable_keys = (
+    st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+    | st.sampled_from(list(LifecyclePhase))
+)
+encodable_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(list(LifecyclePhase)),  # a str subclass, as in the documents
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(encodable_keys, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def _encoded(encode, payload):
+    try:
+        return encode(payload)
+    except Exception as exc:  # compared by type and message
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=500)
+# a set is not encodable
+@given(encodable_values | st.dictionaries(encodable_keys, st.sets(st.integers()), min_size=1))
+def test_canonical_json_bytes_matches_json_dumps(payload):
+    def reference(value):
+        text = json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
+        return (text + "\n").encode("utf-8")
+
+    assert _encoded(canonical_json_bytes, payload) == _encoded(reference, payload)
