@@ -20,8 +20,8 @@ from .enforcement import (
     trace_chain,
     unbound_controls,
 )
-from .canonical import sha256_hex
-from .errors import DataError, OscalAssureError, PolicyError
+from .canonical import canonical_json_bytes, sha256_hex
+from .errors import DataError, MalformedDocument, OscalAssureError, PolicyError
 from .evidence import (
     ArtifactRole,
     capture_environment,
@@ -39,6 +39,7 @@ from .plan import (
     LifecyclePhase,
     control_properties,
     parse_plan_document,
+    text,
 )
 from .results import validate_document_structure
 from .serialize import (
@@ -339,11 +340,11 @@ def cmd_report(args) -> int:
     if poam_path.exists():
         try:
             poam = parse_poam_document(poam_path.read_bytes())
-        except OscalAssureError as exc:
+        except (OscalAssureError, OSError) as exc:
             print(f"note: ignoring sibling POA&M ({exc})", file=sys.stderr)
 
     if args.format == "json":
-        print(json.dumps(_report_payload(results, poam), indent=2))
+        sys.stdout.write(canonical_json_bytes(_report_payload(results, poam)).decode("utf-8"))
         return EXIT_OK
 
     total_findings = results.all_findings()
@@ -447,11 +448,12 @@ def cmd_trace(args) -> int:
             raw = json.loads(Path(args.labels).read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+            # by the documents' text rule: a null label reads as empty, so none is printed
+            labels = {key: text(value, f"label {key!r}") for key, value in raw.items()}
         # ValueError covers undecodable bytes and bad JSON
-        except (OSError, ValueError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError, MalformedDocument) as exc:
             print(f"cannot read labels registry: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        labels = {str(k): str(v) for k, v in raw.items()}
 
     try:
         spec: ControlSpec = plan.control(args.control_id)

@@ -4,6 +4,11 @@ A plan document is JSON or YAML with an ``assessment-plan`` root holding
 metadata and ``control-implementations[].implemented-requirements[]``
 entries; each requirement carries typed ``props`` that this module maps
 into a ControlSpec. Unknown properties are preserved opaquely.
+
+The readers here are shared by every OSCAL document parser (results and
+POA&Ms in serialize): one loader that checks the root, one check per
+nested object or list, and one rule that turns a scalar into text, under
+which null reads as absent.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from typing import NamedTuple
 
 import yaml
 
@@ -130,8 +136,11 @@ _TEXT_PROPS = (
 )
 
 
-@dataclass(frozen=True)
-class PropertyEntry:
+class PropertyEntry(NamedTuple):
+    """One OSCAL prop. A named tuple rather than a frozen dataclass: every
+    document reader builds one per prop, and a tuple is several times
+    cheaper to build."""
+
     name: str
     value: str
     ns: str | None = None
@@ -288,46 +297,77 @@ def extract_control_spec(
     )
 
 
-def _text(value, what: str) -> str:
-    """A scalar field as text. A list or mapping is refused rather than
-    passed through str(), which would expand every YAML alias in it: a
-    few hundred bytes of nested aliases can stand for gigabytes of text."""
+def text(value, what: str, default: str | None = "") -> str | None:
+    """A scalar field as text: absent or null reads as `default`, a bool
+    as true/false and a float in its shortest repr. A list or mapping is
+    refused rather than passed through str(), which would expand every YAML
+    alias in it: a few hundred bytes of nested aliases can stand for
+    gigabytes of text."""
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return default
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
     if isinstance(value, (dict, list)):
         kind = "mapping" if isinstance(value, dict) else "list"
         raise MalformedDocument(f"{what} must be a scalar, not a {kind}")
     return str(value)
 
 
-def _prop_value_text(value, control_id: str) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return _text(value, f"control {control_id!r}: prop value")
-
-
-def _parse_props(raw, control_id: str) -> list[PropertyEntry]:
-    if raw is None:
-        return []
-    if not isinstance(raw, list):
-        raise MalformedDocument(f"control {control_id!r}: props must be a list")
-    entries = []
-    for item in raw:
-        field = item.get("name", "") if isinstance(item, dict) else ""
-        name = _text(field, f"control {control_id!r}: prop name").strip()
-        if not name:
-            raise MalformedDocument(
-                f"control {control_id!r}: each prop needs a non-empty name"
-            )
-        ns = item.get("ns")
-        entries.append(
-            PropertyEntry(
-                name=name,
-                value=_prop_value_text(item.get("value", ""), control_id),
-                ns=_text(ns, f"control {control_id!r}: prop ns") if ns is not None else None,
-            )
+def nested(payload: dict, key: str, kind: type[dict] | type[list]):
+    """payload[key] checked to be an object (kind=dict) or a list; a
+    missing or empty value reads as empty."""
+    value = payload.get(key) or kind()
+    if not isinstance(value, kind):
+        raise MalformedDocument(
+            f"{key!r} must be {'an object' if kind is dict else 'a list'}"
         )
+    return value
+
+
+def objects(payload: dict, key: str) -> list[dict]:
+    """payload[key] checked to be a list of objects."""
+    items = nested(payload, key, list)
+    if not all(isinstance(item, dict) for item in items):
+        raise MalformedDocument(f"every entry of {key!r} must be an object")
+    return items
+
+
+def parse_props(payload: dict, where: str, key: str = "props") -> list[PropertyEntry]:
+    """payload[key] as name/value entries: each names itself and, as OSCAL
+    requires, carries a value."""
+    entries = []
+    what = f"{where}: {key} name, value or ns"
+    for item in objects(payload, key):
+        name = text(item.get("name"), what).strip()
+        if not name:
+            raise MalformedDocument(f"{where}: each entry of {key!r} needs a non-empty name")
+        if item.get("value") is None:
+            raise MalformedDocument(f"{where}: {key} entry {name!r} needs a value")
+        ns = text(item.get("ns"), what, None)
+        entries.append(PropertyEntry(name, text(item["value"], what), ns))
     return entries
+
+
+def timestamp(payload: dict, key: str) -> datetime:
+    """payload[key] as a UTC instant, from text or a YAML timestamp; an
+    absent one reads as the epoch."""
+    value = payload.get(key)
+    if isinstance(value, datetime):
+        # YAML loaders yield naive datetimes for Z-suffixed timestamps
+        if value.tzinfo is None:
+            return value.replace(tzinfo=timezone.utc)
+        return value.astimezone(timezone.utc)
+    token = text(value, key, None)
+    if token is None:
+        return DETERMINISTIC_EPOCH
+    try:
+        return parse_timestamp(token)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedDocument(f"bad {key} {token!r}") from exc
 
 
 def _load_yaml(source: bytes):
@@ -342,10 +382,8 @@ def _load_yaml(source: bytes):
     return yaml.load(source, Loader=_YAML_LOADER)
 
 
-def parse_plan_document(
-    source: bytes, format: str = "json", ns: str = DEFAULT_PROPERTY_NS
-) -> AssessmentPlan:
-    """Parse an assessment plan from JSON or YAML bytes."""
+def document_body(source: bytes, format: str, root: str) -> dict:
+    """The object under `root` in a JSON or YAML document."""
     if format == "json":
         try:
             document = json.loads(source.decode("utf-8"))
@@ -360,61 +398,36 @@ def parse_plan_document(
             raise MalformedDocument(f"invalid YAML: {exc}") from exc
     else:
         raise ValueError(f"unsupported format {format!r}")
+    if not isinstance(document, dict) or not isinstance(document.get(root), dict):
+        raise MalformedDocument(f"document root must contain {root!r} as an object")
+    return document[root]
 
-    if not isinstance(document, dict) or "assessment-plan" not in document:
-        raise MalformedDocument("document root must contain an 'assessment-plan' object")
-    body = document["assessment-plan"]
-    if not isinstance(body, dict):
-        raise MalformedDocument("'assessment-plan' must be an object")
 
-    metadata = body.get("metadata") or {}
-    if not isinstance(metadata, dict):
-        raise MalformedDocument("'metadata' must be an object")
-    title = _text(metadata.get("title", ""), "metadata.title").strip()
-    version = _text(metadata.get("version", "1.0"), "metadata.version")
-    raw_modified = metadata.get("last-modified")
-    if raw_modified is None:
-        last_modified = DETERMINISTIC_EPOCH
-    elif isinstance(raw_modified, datetime):
-        # YAML loaders yield naive datetimes for Z-suffixed timestamps
-        last_modified = (
-            raw_modified.replace(tzinfo=timezone.utc)
-            if raw_modified.tzinfo is None
-            else raw_modified.astimezone(timezone.utc)
-        )
-    else:
-        try:
-            last_modified = parse_timestamp(_text(raw_modified, "metadata.last-modified"))
-        except ValueError as exc:
-            raise MalformedDocument(f"invalid last-modified timestamp: {exc}") from exc
-    plan_uuid = _text(body.get("uuid") or name_uuid(None, f"assessment-plan:{title}"), "uuid")
+def parse_plan_document(
+    source: bytes, format: str = "json", ns: str = DEFAULT_PROPERTY_NS
+) -> AssessmentPlan:
+    """Parse an assessment plan from JSON or YAML bytes."""
+    body = document_body(source, format, "assessment-plan")
+    metadata = nested(body, "metadata", dict)
+    title = text(metadata.get("title"), "metadata.title").strip()
+    version = text(metadata.get("version"), "metadata.version", "1.0")
+    last_modified = timestamp(metadata, "last-modified")
+    plan_uuid = text(body.get("uuid"), "uuid") or name_uuid(None, f"assessment-plan:{title}")
 
     controls: list[ControlSpec] = []
     seen: set[str] = set()
-    implementations = body.get("control-implementations") or []
-    if not isinstance(implementations, list):
-        raise MalformedDocument("'control-implementations' must be a list")
-    for implementation in implementations:
-        if not isinstance(implementation, dict):
-            raise MalformedDocument("each control-implementation must be an object")
-        requirements = implementation.get("implemented-requirements") or []
-        if not isinstance(requirements, list):
-            raise MalformedDocument("'implemented-requirements' must be a list")
-        for requirement in requirements:
-            field = requirement.get("control-id", "") if isinstance(requirement, dict) else ""
-            control_id = _text(field, "control-id").strip()
+    for implementation in objects(body, "control-implementations"):
+        for requirement in objects(implementation, "implemented-requirements"):
+            control_id = text(requirement.get("control-id"), "control-id").strip()
             if not control_id:
-                raise MalformedDocument(
-                    "each implemented-requirement needs a control-id"
-                )
+                raise MalformedDocument("each implemented-requirement needs a control-id")
             if control_id in seen:
                 raise DuplicateControlId(f"control id {control_id!r} appears twice")
             seen.add(control_id)
-            props = _parse_props(requirement.get("props"), control_id)
-            description = _text(
-                requirement.get("description", ""), f"control {control_id!r}: description"
-            ).strip()
-            controls.append(extract_control_spec(props, control_id, description, ns=ns))
+            where = f"control {control_id!r}"
+            props = parse_props(requirement, where)
+            description = text(requirement.get("description"), f"{where}: description")
+            controls.append(extract_control_spec(props, control_id, description.strip(), ns=ns))
 
     return AssessmentPlan(
         uuid=plan_uuid,

@@ -7,7 +7,7 @@ bytes come from canonical.canonical_json_bytes.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import replace
 from datetime import datetime
 
@@ -17,10 +17,20 @@ from .canonical import (
     canonical_json_bytes,
     format_timestamp,
     name_uuid,
-    parse_timestamp,
 )
 from .errors import MalformedDocument, SerializationFailure
-from .plan import DEFAULT_PROPERTY_NS, AssessmentPlan, control_properties
+from .plan import (
+    DEFAULT_PROPERTY_NS,
+    AssessmentPlan,
+    PropertyEntry,
+    control_properties,
+    document_body,
+    nested,
+    objects,
+    parse_props,
+    text,
+    timestamp,
+)
 from .results import (
     AssessmentResults,
     Finding,
@@ -354,148 +364,85 @@ def serialize_canonical(
 # --- dict/json -> document ---------------------------------------------------
 
 
-def _load_json(source: bytes) -> dict:
+def _parsed(parse, token: str, what: str):
+    """parse(token), with a parse failure reported as a malformed document."""
     try:
-        document = json.loads(source.decode("utf-8"))
-    # ValueError covers undecodable bytes, bad JSON and integers past the
-    # interpreter's digit limit
-    except (ValueError, RecursionError) as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise MalformedDocument("document root must be an object")
-    return document
+        return parse(token)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedDocument(f"bad {what} {token!r}") from exc
 
 
-def _body(document: dict, root: str) -> dict:
-    if not isinstance(document.get(root), dict):
-        raise MalformedDocument(f"document root must contain {root!r} as an object")
-    return document[root]
-
-
-def _field(payload: dict, key: str, kind: type[dict] | type[list]):
-    """payload[key] checked to be an object (kind=dict) or a list; a
-    missing or empty value reads as empty."""
-    value = payload.get(key) or kind()
-    if not isinstance(value, kind):
-        raise MalformedDocument(
-            f"{key!r} must be {'an object' if kind is dict else 'a list'}"
-        )
+def _finite(token: str, what: str) -> float:
+    """A float prop; the writer never emits nan or inf, so neither is read."""
+    value = _parsed(float, token, what)
+    if not math.isfinite(value):
+        raise MalformedDocument(f"bad {what} {token!r}: not finite")
     return value
 
 
-def _objects(payload: dict, key: str) -> list[dict]:
-    """payload[key] checked to be a list of objects."""
-    items = _field(payload, key, list)
-    if not all(isinstance(item, dict) for item in items):
-        raise MalformedDocument(f"every entry of {key!r} must be an object")
-    return items
-
-
-def _parsed(parse, text: str, what: str):
-    """parse(text), with a parse failure reported as a malformed document."""
-    try:
-        return parse(text)
-    except (ValueError, OverflowError) as exc:
-        raise MalformedDocument(f"bad {what} {text!r}") from exc
-
-
-def _timestamp(payload: dict, key: str) -> datetime:
-    return _parsed(parse_timestamp, str(payload.get(key, "1970-01-01T00:00:00Z")), key)
-
-
-def _remarks(payload: dict) -> str | None:
-    remarks = payload.get("remarks")
-    if remarks is not None and not isinstance(remarks, str):
-        raise MalformedDocument(f"'remarks' must be a string, got {remarks!r}")
-    return remarks
-
-
-def _prop_map(raw: list | None) -> dict[str, str]:
+def _first_values(props: list[PropertyEntry]) -> dict[str, str]:
     """First value per prop name (multi-valued props handled separately)."""
-    props: dict[str, str] = {}
-    for item in raw or []:
-        if isinstance(item, dict) and "name" in item:
-            props.setdefault(str(item["name"]), str(item.get("value", "")))
-    return props
-
-
-def _prop_values(raw: list | None, name: str) -> list[str]:
-    return [
-        str(item.get("value", ""))
-        for item in raw or []
-        if isinstance(item, dict) and item.get("name") == name
-    ]
+    return {prop.name: prop.value for prop in reversed(props)}
 
 
 def _observation_from_dict(payload: dict) -> Observation:
-    props = _field(payload, "props", list)
-    prop_map = _prop_map(props)
+    props = parse_props(payload, "observation")
+    prop_map = _first_values(props)
     observed: float | None = None
     if "observed-value" in prop_map:
-        observed = _parsed(float, prop_map["observed-value"], "observed-value")
+        observed = _finite(prop_map["observed-value"], "observed-value")
     per_group: dict[str, float] = {}
-    for encoded in _prop_values(props, "group-rate"):
-        label, sep, rate = encoded.rpartition("=")
-        if not sep:
-            raise MalformedDocument(f"bad group-rate entry {encoded!r}")
-        per_group[label] = _parsed(float, rate, "group-rate")
-    methods = _field(payload, "methods", list) or ["TEST"]
-    try:
-        method = ObservationMethod(str(methods[0]))
-    except ValueError as exc:
-        raise MalformedDocument(f"bad observation method {methods[0]!r}") from exc
+    for prop in props:
+        if prop.name == "group-rate":
+            label, sep, rate = prop.value.rpartition("=")
+            if not sep:
+                raise MalformedDocument(f"bad group-rate entry {prop.value!r}")
+            per_group[label] = _finite(rate, "group-rate")
+    methods = nested(payload, "methods", list) or ["TEST"]
+    method = _parsed(ObservationMethod, text(methods[0], "method"), "observation method")
     return Observation(
-        uuid=str(payload.get("uuid", "")),
-        title=str(payload.get("title", "")),
-        description=str(payload.get("description", "")),
+        uuid=text(payload.get("uuid"), "uuid"),
+        title=text(payload.get("title"), "title"),
+        description=text(payload.get("description"), "description"),
         method=method,
         observed_value=observed,
-        collected_at=_timestamp(payload, "collected"),
+        collected_at=timestamp(payload, "collected"),
         relevant_control_id=prop_map.get("control-id", ""),
         per_group=per_group or None,
         stratum=prop_map.get("stratum"),
         excluded_rows=_parsed(int, prop_map.get("excluded-rows", "0"), "excluded-rows"),
-        remarks=_remarks(payload),
+        remarks=text(payload.get("remarks"), "remarks", None),
     )
 
 
 def _finding_from_dict(payload: dict) -> Finding:
-    target = _field(payload, "target", dict)
-    state = _field(target, "status", dict).get("state", "")
-    try:
-        status = FindingStatus(str(state))
-    except ValueError as exc:
-        raise MalformedDocument(f"bad finding state {state!r}") from exc
+    target = nested(payload, "target", dict)
+    state = text(nested(target, "status", dict).get("state"), "state")
     return Finding(
-        uuid=str(payload.get("uuid", "")),
-        title=str(payload.get("title", "")),
-        target_control_id=str(target.get("target-id", "")),
-        status=status,
+        uuid=text(payload.get("uuid"), "uuid"),
+        title=text(payload.get("title"), "title"),
+        target_control_id=text(target.get("target-id"), "target-id"),
+        status=_parsed(FindingStatus, state, "finding state"),
         related_observation_uuids=tuple(
-            str(ref.get("observation-uuid", ""))
-            for ref in _field(payload, "related-observations", list)
-            if isinstance(ref, dict)
+            text(ref.get("observation-uuid"), "observation-uuid")
+            for ref in objects(payload, "related-observations")
         ),
-        remarks=_remarks(payload),
+        remarks=text(payload.get("remarks"), "remarks", None),
     )
 
 
 def _risk_from_dict(payload: dict) -> Risk:
-    prop_map = _prop_map(_field(payload, "props", list))
-    facets: list[tuple[str, str]] = []
-    for characterization in _objects(payload, "characterizations"):
-        for facet in _field(characterization, "facets", list):
-            if isinstance(facet, dict) and "name" in facet:
-                facets.append((str(facet["name"]), str(facet.get("value", ""))))
-    try:
-        status = RiskStatus(str(payload.get("status", "")))
-    except ValueError as exc:
-        raise MalformedDocument(f"bad risk status {payload.get('status')!r}") from exc
+    prop_map = _first_values(parse_props(payload, "risk"))
+    facets = tuple(
+        (facet.name, facet.value)
+        for characterization in objects(payload, "characterizations")
+        for facet in parse_props(characterization, "risk", "facets")
+    )
     return Risk(
-        uuid=str(payload.get("uuid", "")),
-        title=str(payload.get("title", "")),
-        status=status,
-        facets=tuple(facets),
+        uuid=text(payload.get("uuid"), "uuid"),
+        title=text(payload.get("title"), "title"),
+        status=_parsed(RiskStatus, text(payload.get("status"), "status"), "risk status"),
+        facets=facets,
         linked_finding_uuid=prop_map.get("linked-finding", ""),
         risk_id_ref=prop_map.get("risk-id"),
     )
@@ -503,67 +450,60 @@ def _risk_from_dict(payload: dict) -> Risk:
 
 def parse_results_document(source: bytes) -> AssessmentResults:
     """Parse an assessment-results JSON document back into the model."""
-    body = _body(_load_json(source), "assessment-results")
-    metadata = _field(body, "metadata", dict)
+    body = document_body(source, "json", "assessment-results")
+    metadata = nested(body, "metadata", dict)
     blocks = []
-    for payload in _objects(body, "results"):
-        selections = _objects(_field(payload, "reviewed-controls", dict), "control-selections")
+    for payload in objects(body, "results"):
+        selections = objects(nested(payload, "reviewed-controls", dict), "control-selections")
         reviewed = tuple(
-            str(entry.get("control-id", ""))
+            text(entry.get("control-id"), "control-id")
             for selection in selections
-            for entry in _field(selection, "include-controls", list)
-            if isinstance(entry, dict)
+            for entry in objects(selection, "include-controls")
         )
         blocks.append(
             ResultBlock(
-                uuid=str(payload.get("uuid", "")),
-                title=str(payload.get("title", "")),
-                start=_timestamp(payload, "start"),
-                end=_timestamp(payload, "end"),
+                uuid=text(payload.get("uuid"), "uuid"),
+                title=text(payload.get("title"), "title"),
+                start=timestamp(payload, "start"),
+                end=timestamp(payload, "end"),
                 observations=tuple(
-                    map(_observation_from_dict, _objects(payload, "observations"))
+                    map(_observation_from_dict, objects(payload, "observations"))
                 ),
-                findings=tuple(map(_finding_from_dict, _objects(payload, "findings"))),
-                risks=tuple(map(_risk_from_dict, _objects(payload, "risks"))),
+                findings=tuple(map(_finding_from_dict, objects(payload, "findings"))),
+                risks=tuple(map(_risk_from_dict, objects(payload, "risks"))),
                 reviewed_control_ids=reviewed,
             )
         )
     return AssessmentResults(
-        uuid=str(body.get("uuid", "")),
-        title=str(metadata.get("title", "")),
-        version=str(metadata.get("version", "")),
-        last_modified=_timestamp(metadata, "last-modified"),
+        uuid=text(body.get("uuid"), "uuid"),
+        title=text(metadata.get("title"), "title"),
+        version=text(metadata.get("version"), "version"),
+        last_modified=timestamp(metadata, "last-modified"),
         results=tuple(blocks),
     )
 
 
 def parse_poam_document(source: bytes) -> PoamDocument:
     """Parse a POA&M JSON document back into the model."""
-    body = _body(_load_json(source), "plan-of-action-and-milestones")
-    metadata = _field(body, "metadata", dict)
+    body = document_body(source, "json", "plan-of-action-and-milestones")
+    metadata = nested(body, "metadata", dict)
     items = []
-    for payload in _objects(body, "poam-items"):
-        prop_map = _prop_map(_field(payload, "props", list))
-        try:
-            status = RiskStatus(prop_map.get("status", ""))
-        except ValueError as exc:
-            raise MalformedDocument(
-                f"bad poam item status {prop_map.get('status')!r}"
-            ) from exc
+    for payload in objects(body, "poam-items"):
+        prop_map = _first_values(parse_props(payload, "poam item"))
         items.append(
             PoamItem(
-                uuid=str(payload.get("uuid", "")),
-                title=str(payload.get("title", "")),
-                description=str(payload.get("description", "")),
+                uuid=text(payload.get("uuid"), "uuid"),
+                title=text(payload.get("title"), "title"),
+                description=text(payload.get("description"), "description"),
                 related_risk_uuid=prop_map.get("related-risk", ""),
-                status=status,
+                status=_parsed(RiskStatus, prop_map.get("status", ""), "poam item status"),
                 treatment_id_ref=prop_map.get("treatment-id"),
             )
         )
     return PoamDocument(
-        uuid=str(body.get("uuid", "")),
-        title=str(metadata.get("title", "")),
-        version=str(metadata.get("version", "")),
-        last_modified=_timestamp(metadata, "last-modified"),
+        uuid=text(body.get("uuid"), "uuid"),
+        title=text(metadata.get("title"), "title"),
+        version=text(metadata.get("version"), "version"),
+        last_modified=timestamp(metadata, "last-modified"),
         poam_items=tuple(items),
     )

@@ -130,11 +130,14 @@ def load_table(source: bytes, format: str = "csv", has_header: bool = True) -> D
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
     try:
-        text = source.decode("utf-8-sig")
+        # checked whole up front, so that the error and its message do not
+        # depend on how far the reader below has read
+        source.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UndecodableBytes(f"input is not valid UTF-8: {exc}") from exc
 
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # decoded as it is read: no copy of the whole text is kept
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline=""))
     try:
         first = next(reader, None)
         if first is None:

@@ -480,12 +480,12 @@ def _first_observation(document: dict) -> dict:
     return document["assessment-results"]["results"][0]["observations"][0]
 
 
-def _set_group_rate(document: dict) -> None:
+def _set_group_rate(document: dict, value: str = "female=abc") -> None:
     for block in document["assessment-results"]["results"]:
         for obs in block["observations"]:
             for prop in obs["props"]:
                 if prop["name"] == "group-rate":
-                    prop["value"] = "female=abc"
+                    prop["value"] = value
                     return
     raise AssertionError("no group-rate in the fixture")
 
@@ -507,6 +507,11 @@ MALFORMED_RESULTS = {
     "list-remarks": lambda d: d["assessment-results"]["results"][0]["findings"][0].update(
         {"remarks": [1]}
     ),
+    "inf-group-rate": lambda d: _set_group_rate(d, "female=inf"),
+    "null-prop-value": lambda d: _first_observation(d)["props"][0].update({"value": None}),
+    "non-object-related-observation": lambda d: d["assessment-results"]["results"][0][
+        "findings"
+    ][0]["related-observations"].append("uuid"),
 }
 
 
@@ -518,6 +523,49 @@ def test_report_malformed_results_exits_one(pre_results_dir, capsys, corrupt):
     broken.write_text(json.dumps(document))
     assert main(["report", str(broken)]) == 1
     assert "cannot parse results" in capsys.readouterr().err
+
+
+def _set_observed_value(document: dict, value: str) -> None:
+    obs = _first_observation(document)
+    for prop in obs["props"]:
+        if prop["name"] == "observed-value":
+            prop["value"] = value
+    obs["remarks"] = "a remark"
+
+
+def test_report_json_on_a_nan_observed_value_exits_one_and_prints_no_nan(
+    pre_results_dir, capsys
+):
+    document = json.loads((pre_results_dir / "assessment-results.oscal.json").read_text())
+    _set_observed_value(document, "nan")
+    broken = pre_results_dir / "broken.json"
+    broken.write_text(json.dumps(document))
+    assert main(["report", str(broken), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out
+    assert "cannot parse results" in captured.err
+
+
+def test_report_on_results_with_null_uuids_exits_three(pre_results_dir, capsys):
+    document = json.loads((pre_results_dir / "assessment-results.oscal.json").read_text())
+    document["assessment-results"]["uuid"] = None
+    document["assessment-results"]["results"][0]["uuid"] = None
+    broken = pre_results_dir / "null-uuids.json"
+    broken.write_text(json.dumps(document))
+    assert main(["report", str(broken)]) == 3
+    assert "[uuid-missing]" in capsys.readouterr().err
+
+
+def test_report_notes_and_ignores_an_unreadable_sibling_poam(pre_results_dir, tmp_path, capsys):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    results = elsewhere / "assessment-results.oscal.json"
+    results.write_bytes((pre_results_dir / "assessment-results.oscal.json").read_bytes())
+    (elsewhere / "poam.oscal.json").mkdir()
+    assert main(["report", str(results)]) == 0
+    captured = capsys.readouterr()
+    assert "note: ignoring sibling POA&M" in captured.err
+    assert "== POA&M" not in captured.out
 
 
 # --- trace ----------------------------------------------------------------------
@@ -548,8 +596,9 @@ def test_trace_prints_chain_top_down_with_labels(capsys):
         (b'"a label"', "expected a JSON object"),
         (b'{"R-1": "\xff"}', "can't decode byte 0xff"),
         (b"{not json", "Expecting property name"),
+        (b'{"R-042": ["a", "b"]}', "must be a scalar"),
     ],
-    ids=["list", "string", "undecodable", "invalid"],
+    ids=["list", "string", "undecodable", "invalid", "list-label"],
 )
 def test_trace_with_an_unusable_labels_file_exits_one(tmp_path, capsys, content, message):
     labels = tmp_path / "labels.json"
@@ -557,6 +606,16 @@ def test_trace_with_an_unusable_labels_file_exits_one(tmp_path, capsys, content,
     code = main(["trace", str(SCENARIO_A_PLAN), "credit-gender-di", "--labels", str(labels)])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def test_trace_prints_no_label_for_a_null_one(tmp_path, capsys):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"R-042": None, "T-017": "reweigh"}))
+    code = main(["trace", str(SCENARIO_A_PLAN), "credit-gender-di", "--labels", str(labels)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["risk", "R-042"]
+    assert lines[3].split() == ["treatment", "T-017", "reweigh"]
 
 
 def test_trace_control_without_ids_prints_control_line_only(capsys):

@@ -417,9 +417,9 @@ def test_both_yaml_loaders_accept_100_levels_of_nesting_and_reject_101(loader):
             parse_plan_document(plan + b"x: " + b"[" * 100 + b"]" * 100 + b"\n", "yaml")
 
 
-def _alias_bomb(field: str) -> bytes:
+def _alias_bomb(field: str, value: str = "*l4") -> bytes:
     """A plan whose `field` aliases 4 nested levels of 9 aliases: 9**4
-    copies of a word, from about 300 bytes."""
+    copies of a word, from about 300 bytes; or holds `value` instead."""
     lines = ["l0: &l0 [" + ", ".join(["lol"] * 9) + "]"]
     lines += [f"l{i}: &l{i} [" + ", ".join([f"*l{i - 1}"] * 9) + "]" for i in range(1, 5)]
     fields = {
@@ -431,7 +431,8 @@ def _alias_bomb(field: str) -> bytes:
         "control-id": "  control-implementations: [{implemented-requirements: "
         "[{control-id: *l4}]}]",
         "description": "  control-implementations: [{implemented-requirements: "
-        "[{control-id: c1, description: *l4}]}]",
+        "[{control-id: c1, description: *l4, props: [{name: metric_key, value: accuracy}, "
+        "{name: operator, value: ge}, {name: threshold, value: '0.5'}]}]}]",
     }
     props = {
         "prop-value": "{name: risk_id, value: *l4}",
@@ -444,7 +445,8 @@ def _alias_bomb(field: str) -> bytes:
             "{name: metric_key, value: accuracy}, {name: operator, value: ge}, "
             f"{{name: threshold, value: '0.5'}}, {props[field]}]}}]}}]"
         )
-    return "\n".join([*lines, "assessment-plan:", fields[field], ""]).encode()
+    text = fields[field].replace("*l4", value)
+    return "\n".join([*lines, "assessment-plan:", text, ""]).encode()
 
 
 ALIAS_BOMB_FIELDS = [
@@ -459,3 +461,22 @@ def test_text_field_that_is_no_scalar_is_malformed(field, loader):
     with mock.patch.object(plan_module, "_YAML_LOADER", loader):
         with pytest.raises(MalformedDocument, match="must be a scalar"):
             parse_plan_document(_alias_bomb(field), "yaml")
+
+
+#: Where a null makes a required field absent, and how the plan is rejected.
+NULL_REJECTED = {
+    "control-id": "needs a control-id",
+    "prop-name": "needs a non-empty name",
+    "prop-value": "needs a value",
+}
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("field", [f for f in ALIAS_BOMB_FIELDS if f != "mapping-title"])
+def test_null_text_field_reads_as_absent_and_never_as_none(field, loader):
+    with mock.patch.object(plan_module, "_YAML_LOADER", loader):
+        if field in NULL_REJECTED:
+            with pytest.raises(MalformedDocument, match=NULL_REJECTED[field]):
+                parse_plan_document(_alias_bomb(field, "~"), "yaml")
+        else:
+            assert "'None'" not in repr(parse_plan_document(_alias_bomb(field, "~"), "yaml"))

@@ -4,14 +4,22 @@ import dataclasses
 import json
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_structurally_valid, replace_random_node
+from conftest import (
+    FIG2_PLAN,
+    MEDICAL_PLAN,
+    SCENARIO_A_PLAN,
+    assert_structurally_valid,
+    replace_random_node,
+)
 from oscal_assure import (
     default_registry,
     determinize,
     enforce_phase,
+    parse_plan_document,
     parse_poam_document,
     parse_results_document,
     serialize_canonical,
@@ -237,6 +245,42 @@ def test_parsers_return_or_raise_package_error_for_any_edit_of_a_real_document(
     body = json.loads(json.dumps(demo_documents[root]))
     replace_random_node(body, data.draw, json_values)
     parses_or_raises_package_error(root, body)
+
+
+def _texts(value):
+    """Every str held anywhere in a parsed document."""
+    if isinstance(value, str):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for member in dataclasses.fields(value):
+            yield from _texts(getattr(value, member.name))
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _texts(item)
+    elif isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            yield from _texts(item)
+
+
+PLANS = [FIG2_PLAN, SCENARIO_A_PLAN, MEDICAL_PLAN]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*sorted(PARSERS), "assessment-plan"]), st.data())
+def test_no_parser_reads_null_as_the_text_none(demo_documents, root, data):
+    if root == "assessment-plan":
+        plan = data.draw(st.sampled_from(PLANS))
+        body = yaml.safe_load(plan.read_bytes())[root]
+    else:
+        body = json.loads(json.dumps(demo_documents[root]))
+    replace_random_node(body, data.draw, st.none() | json_values)
+    source = json.dumps({root: body}, default=str).encode("utf-8")
+    parse = PARSERS.get(root, lambda source: parse_plan_document(source, "json"))
+    try:
+        parsed = parse(source)
+    except OscalAssureError:
+        return
+    assert b'"None"' in source or "None" not in set(_texts(parsed))
 
 
 # --- canonical_json_bytes against json.dumps ----------------------------------
