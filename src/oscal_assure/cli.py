@@ -17,6 +17,7 @@ from .enforcement import (
     PhaseReport,
     VerdictOutcome,
     enforce_phase,
+    read_columns,
     trace_chain,
     unbound_controls,
 )
@@ -96,6 +97,14 @@ def _split_binding(value: str, flag: str) -> tuple[str, str]:
             f"usage error: {flag} must look like column:positive-label, got {value!r}"
         )
     return column, positive
+
+
+def _read_columns(args, plan: AssessmentPlan) -> list[str]:
+    """Every column the command can read, so that only those are loaded.
+    The role flags are split as _split_binding splits them, but a malformed
+    one is left for it to refuse after the data has loaded."""
+    flags = [flag.rpartition(":")[0] for flag in (args.target, args.prediction) if flag]
+    return read_columns(plan.controls, [*flags, args.group, args.weight])
 
 
 def _build_bindings(args, table: DataTable) -> RoleBindings:
@@ -211,7 +220,7 @@ def cmd_enforce(args) -> int:
     plan = _load_plan(args.policy, args.ns)
 
     try:
-        table = load_table(Path(args.data).read_bytes())
+        table = load_table(Path(args.data).read_bytes(), columns=_read_columns(args, plan))
         bindings = _build_bindings(args, table)
         phase = (
             LifecyclePhase(args.phase) if args.phase else _default_phase(bindings)
@@ -245,7 +254,7 @@ def cmd_run(args) -> int:
         table = bindings = session = None
         if args.data:
             data = Path(args.data).read_bytes()
-            table = load_table(data)
+            table = load_table(data, columns=_read_columns(args, plan))
             if not args.target:
                 raise _Exit("usage error: --target is required when --data is given")
             bindings = _build_bindings(args, table)

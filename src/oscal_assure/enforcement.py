@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -206,6 +206,18 @@ def _reads_joint_count(spec: ControlSpec, registry: MetricRegistry) -> bool:
         return False  # unknown metric key: surfaces as an evaluation error later
 
 
+def read_columns(
+    specs: Iterable[ControlSpec], role_columns: Iterable[str | None]
+) -> list[str]:
+    """Every column that the built-in controls among specs can read, in
+    first-seen order: role_columns (the columns bound to roles), then each
+    control's group override and stratify_by column. None is skipped."""
+    names = list(role_columns)
+    for spec in specs:
+        names += [spec.metric_params.get("group"), spec.stratify_by]
+    return [n for n in dict.fromkeys(names) if n is not None]
+
+
 def _with_joint_count(
     specs: list[ControlSpec], ctx: MetricContext, registry: MetricRegistry
 ) -> MetricContext:
@@ -217,10 +229,8 @@ def _with_joint_count(
     b = ctx.bindings
     if not readers or b is None:
         return ctx
-    names = [b.target, b.prediction, b.group, ctx.params.get("group")]
-    for spec in readers:
-        names += [spec.metric_params.get("group"), spec.stratify_by]
-    present = [n for n in dict.fromkeys(names) if n is not None and ctx.table.has_column(n)]
+    names = read_columns(readers, [b.target, b.prediction, b.group, ctx.params.get("group")])
+    present = [n for n in names if ctx.table.has_column(n)]
     weight = b.weight if b.weight is not None and ctx.table.has_column(b.weight) else None
     return dataclasses.replace(ctx, joint=count_rows(ctx.table, present, weight))
 

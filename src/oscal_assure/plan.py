@@ -318,9 +318,12 @@ def text(value, what: str, default: str | None = "") -> str | None:
 
 
 def nested(payload: dict, key: str, kind: type[dict] | type[list]):
-    """payload[key] checked to be an object (kind=dict) or a list; a
-    missing or empty value reads as empty."""
-    value = payload.get(key) or kind()
+    """payload[key] checked to be an object (kind=dict) or a list; an
+    absent or null value reads as empty, and any other value that is not
+    of `kind` (0, false, "") is malformed."""
+    value = payload.get(key)
+    if value is None:
+        return kind()
     if not isinstance(value, kind):
         raise MalformedDocument(
             f"{key!r} must be {'an object' if kind is dict else 'a list'}"
@@ -379,6 +382,10 @@ def _load_yaml(source: bytes):
                 raise MalformedDocument(f"invalid YAML: nested deeper than {_YAML_MAX_DEPTH}")
         elif isinstance(event, yaml.CollectionEndEvent):
             depth -= 1
+        elif isinstance(event, yaml.ScalarEvent) and event.tag == "!" and not event.value:
+            # the pure-Python loader reads an empty node tagged "!" as null,
+            # libyaml as "": refused, so that both loaders agree on every plan
+            raise MalformedDocument("invalid YAML: an empty node tagged '!' has no agreed value")
     return yaml.load(source, Loader=_YAML_LOADER)
 
 

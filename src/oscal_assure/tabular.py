@@ -58,7 +58,9 @@ class DataTable:
     Each column holds cells of one Python type (plus None) and no -0.0, so
     cells that compare equal have equal cell_tokens; metrics, stratify and
     bind_roles group rows by value and name the groups by token. load_table
-    guarantees this, and the cells it makes equal share one object.
+    guarantees this, and the cells it makes equal share one object. A table
+    loaded with `columns` holds only those of the file's columns, while
+    every check of the load covered the whole file.
     """
 
     column_names: tuple[str, ...]
@@ -121,11 +123,21 @@ def _infer_column(distinct: Collection[str]) -> tuple[ColumnType, dict[str, Cell
         return ColumnType.CATEGORICAL, {v: v for v in distinct}
 
 
-def load_table(source: bytes, format: str = "csv", has_header: bool = True) -> DataTable:
+def load_table(
+    source: bytes,
+    format: str = "csv",
+    has_header: bool = True,
+    columns: Collection[str] | None = None,
+) -> DataTable:
     """Load RFC 4180 CSV bytes into a typed table.
 
     Empty fields become missing values. Column types are inferred per
     column: boolean, integer, decimal, else categorical.
+
+    `columns` names the columns to keep, in file order; a name the file
+    lacks is ignored, and None keeps every column. Every check still covers
+    the whole file, read or not: UTF-8 decoding, ragged rows, unreadable
+    CSV (a field past the size limit included) and duplicate header names.
     """
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
@@ -147,38 +159,49 @@ def load_table(source: bytes, format: str = "csv", has_header: bool = True) -> D
         else:
             header = [f"col{i + 1}" for i in range(len(first))]
             rows = itertools.chain([first], reader)
-        # Each record goes straight into its columns, and each field into one
-        # str object per distinct field of its column: no list of rows and no
-        # per-cell copy of a field outlives its record.
-        raw_columns: list[list[str]] = [[] for _ in header]
-        distinct: list[dict[str, str]] = [{} for _ in header]
+        keep = [i for i, name in enumerate(header) if columns is None or name in columns]
+        # Each record's kept fields go straight into their columns, each one
+        # as the one str object of its distinct field in that column: no
+        # list of rows and no per-cell copy of a field outlives its record.
+        raw_columns: list[list[str]] = [[] for _ in keep]
+        distinct: list[dict[str, str]] = [{} for _ in keep]
+        sinks = [
+            (i, raw.append, fields.setdefault)
+            for i, raw, fields in zip(keep, raw_columns, distinct)
+        ]
         row_count = 0
         for row in rows:
             if len(row) != len(header):
                 raise RaggedRows(
                     f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
                 )
-            for i, cell in enumerate(row):
-                raw_columns[i].append(distinct[i].setdefault(cell, cell))
+            for i, append, intern in sinks:
+                cell = row[i]
+                append(intern(cell, cell))
             row_count += 1
     except csv.Error as exc:  # e.g. a field past the csv module's size limit
         raise DataError(f"line {reader.line_num}: unreadable CSV: {exc}") from exc
     if len(set(header)) != len(header):
         raise DataError(f"duplicate column names in header: {header}")
 
+    del sinks  # its bound methods would keep every raw column alive
     types: list[ColumnType] = []
-    columns: list[tuple[Cell, ...]] = []
-    for raw, fields in zip(raw_columns, distinct):
+    typed: list[tuple[Cell, ...]] = []
+    for k in range(len(keep)):
+        # each raw column is freed once its typed tuple is built, before the
+        # next one is
+        raw, fields = raw_columns[k], distinct[k]
+        raw_columns[k] = distinct[k] = None
         fields.pop("", None)
         ctype, values = _infer_column(fields)
         types.append(ctype)
         # an empty field is no key of values, so .get maps it to None
-        columns.append(tuple(map(values.get, raw)))
+        typed.append(tuple(map(values.get, raw)))
 
     return DataTable(
-        column_names=tuple(header),
+        column_names=tuple(header[i] for i in keep),
         column_types=tuple(types),
-        columns=tuple(columns),
+        columns=tuple(typed),
         row_count=row_count,
     )
 

@@ -226,3 +226,47 @@ def medical_ctx() -> MetricContext:
         table, "truth", "lesion", prediction="pred", prediction_positive="lesion"
     )
     return MetricContext(table=table, bindings=bindings)
+
+
+# --- drawn CSV files --------------------------------------------------------------
+
+FIELD_POOLS = [
+    ["", "TRUE", "false", "True", "fAlSe"],
+    ["", "007", "-3", "1_000", "0", " 7", "+5"],
+    ["", "-0.0", "0.0", "nan", "NaN", "1e3", "inf", "1.5", "7"],
+    ["", "a,b", "line\nbreak", "cr\r\nlf", 'say "hi"', "plain", "é", " "],
+]
+HEADER_NAMES = ["a", " a ", "b", "c", "", "d,e", "f\ng"]
+
+
+@st.composite
+def csv_sources(draw) -> bytes:
+    """A small CSV file with typed, contested and quoted fields, and maybe
+    a ragged row or a byte order mark."""
+    width = draw(st.integers(min_value=0, max_value=4))
+    header = draw(st.lists(st.sampled_from(HEADER_NAMES), min_size=width, max_size=width))
+    # a column draws from one pool, or from two so its type is contested
+    pools = [
+        draw(st.sampled_from(FIELD_POOLS)) + draw(st.sampled_from([[], *FIELD_POOLS]))
+        for _ in range(width)
+    ]
+    rows = [
+        [draw(st.sampled_from(pool)) for pool in pools]
+        for _ in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    if draw(st.booleans()):  # a ragged row, possibly after a multi-line field
+        ragged = draw(st.lists(st.sampled_from(FIELD_POOLS[3]), max_size=width + 2))
+        if len(ragged) != width:
+            rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), ragged)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(
+        buffer,
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    )
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line break after the last record
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")

@@ -85,6 +85,13 @@ def test_validate_invalid_mode_exits_three_naming_control(tmp_path, capsys):
     assert "halt" in err
 
 
+def test_validate_plan_with_a_falsy_non_object_exits_three(tmp_path, capsys):
+    policy = tmp_path / "plan.json"
+    policy.write_text('{"assessment-plan": {"metadata": 0, "control-implementations": false}}')
+    assert main(["validate", str(policy)]) == 3
+    assert "'metadata' must be an object" in capsys.readouterr().err
+
+
 def test_validate_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 1
 
@@ -276,6 +283,31 @@ def test_run_mode_override_monitor_covers_both_phases(tmp_path):
     handshake = json.loads((run_dir / "handshake.json").read_text())
     assert handshake["handshake_ok"] is True
     assert handshake["phase_count"] == 2
+
+
+@pytest.mark.parametrize(
+    "extra,read",
+    [
+        ((), ("gender", "age_group", "class", "prediction")),
+        (
+            ("--weight", "duration_months"),
+            ("gender", "age_group", "duration_months", "class", "prediction"),
+        ),
+    ],
+)
+def test_run_loads_only_the_columns_it_can_read(tmp_path, monkeypatch, extra, read):
+    loaded = []
+    original_load = cli.load_table
+
+    def recording_load(source, *args, **kwargs):
+        table = original_load(source, *args, **kwargs)
+        loaded.append(table.column_names)
+        return table
+
+    monkeypatch.setattr(cli, "load_table", recording_load)
+    assert main(run_args(tmp_path / "vault", "--mode-override", "warn", *extra)) == 0
+    # no control reads credit_amount, nor duration_months unless it weighs the rows
+    assert loaded == [read]
 
 
 def test_run_hash_only_monitoring_plan_skips_but_handshakes(tmp_path, capsys):

@@ -23,7 +23,7 @@ from oscal_assure import (
     trace_chain,
     validate_document_structure,
 )
-from oscal_assure.enforcement import EnforcementAction, SkipReason
+from oscal_assure.enforcement import EnforcementAction, SkipReason, read_columns
 from oscal_assure.errors import PolicyDataMismatch
 from oscal_assure.plan import (
     EnforcementMode,
@@ -185,6 +185,15 @@ def test_unknown_metric_is_a_not_satisfied_evaluation_error(small_ctx, registry)
     assert verdict.finding.remarks == "evaluation-error"
     assert verdict.observations[0].remarks.startswith("evaluation-error")
     assert dict(verdict.risk.facets)["actual"] == "not-computable"
+
+
+def test_read_columns_names_the_roles_then_each_controls_group_and_strata():
+    specs = [
+        make_control("by-site", stratify_by="site"),
+        make_control("by-age", metric_params={"group": "age"}, stratify_by="g"),
+        make_control("plain"),
+    ]
+    assert read_columns(specs, ["y", None, "g", "w"]) == ["y", "g", "w", "site", "age"]
 
 
 def test_broken_stratification_fails_closed_without_crashing_the_phase(

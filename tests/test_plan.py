@@ -214,6 +214,28 @@ def test_malformed_documents_rejected(source, format):
         parse_plan_document(source, format)
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ({"metadata": 0, "control-implementations": False}, "'metadata' must be an object"),
+        ({"metadata": {}, "control-implementations": False}, "must be a list"),
+        ({"metadata": {}, "control-implementations": 0}, "must be a list"),
+        ({"metadata": "", "control-implementations": []}, "'metadata' must be an object"),
+        ({"control-implementations": [{"implemented-requirements": ""}]}, "must be a list"),
+    ],
+)
+def test_a_falsy_value_that_is_no_object_or_list_is_malformed_not_empty(body, message):
+    source = json.dumps({"assessment-plan": body}).encode()
+    with pytest.raises(MalformedDocument, match=message):
+        parse_plan_document(source, "json")
+
+
+def test_a_null_or_absent_object_or_list_still_reads_as_empty():
+    for body in ({}, {"metadata": None, "control-implementations": None}):
+        plan = parse_plan_document(json.dumps({"assessment-plan": body}).encode(), "json")
+        assert (plan.title, plan.controls) == ("", ())
+
+
 def _all_16_props() -> list[PropertyEntry]:
     return [
         PropertyEntry("metric_key", "disparate_impact"),
@@ -400,11 +422,43 @@ def parsed_with(loader, source: bytes):
             return PolicyError
 
 
+#: Values put in a plan under a "!" tag: empty, quoted, verbatim, in a flow
+#: list (where the pure-Python scanner reads "!," as the tag), and plain.
+BANG_TAGGED = ["!", "! ''", '! ""', "!<!>", "[!, x]", "! x", "! 0", "! null", "! []"]
+
+
+@st.composite
+def bang_tagged_plans(draw) -> bytes:
+    """A real plan in YAML with one value replaced by, or prefixed with, a
+    "!"-tagged one."""
+    lines = draw(edited_plans("yaml")).decode().splitlines()
+    at = draw(st.sampled_from([i for i, line in enumerate(lines) if ":" in line]))
+    key, _, value = lines[at].partition(":")
+    tagged = draw(st.sampled_from(BANG_TAGGED) | st.just("! " + value.strip()))
+    lines[at] = f"{key}: {tagged}"
+    return "\n".join(lines).encode()
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=200) | edited_plans("yaml"))
+@given(st.binary(max_size=200) | edited_plans("yaml") | bang_tagged_plans())
 @example(b"!")  # None from one loader, "" from the other: both no mapping
+@example(_minimal_control(extra_props="            - name: risk_id\n              value: !\n"))
 def test_both_yaml_loaders_give_an_equal_plan_or_both_reject_it(source):
     assert len({repr(parsed_with(loader, source)) for loader in YAML_LOADERS}) == 1
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("value", ["!", "! ''", "!<!>"])
+@pytest.mark.parametrize("where", ["prop-value", "metadata"])
+def test_an_empty_node_tagged_bang_is_malformed_under_both_loaders(loader, value, where):
+    if where == "metadata":
+        source = f"assessment-plan:\n  metadata: {value}\n".encode()
+    else:
+        prop = f"            - name: risk_id\n              value: {value}\n"
+        source = _minimal_control(extra_props=prop)
+    with mock.patch.object(plan_module, "_YAML_LOADER", loader):
+        with pytest.raises(MalformedDocument, match="empty node tagged '!'"):
+            parse_plan_document(source, "yaml")
 
 
 @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import math
 import operator
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     REGISTRY_METRICS,
     assert_structurally_valid,
+    csv_sources,
     make_control,
     make_plan,
     random_bound_table,
@@ -879,54 +881,40 @@ def _loaded(load, source: bytes, has_header: bool):
     )
 
 
-FIELD_POOLS = [
-    ["", "TRUE", "false", "True", "fAlSe"],
-    ["", "007", "-3", "1_000", "0", " 7", "+5"],
-    ["", "-0.0", "0.0", "nan", "NaN", "1e3", "inf", "1.5", "7"],
-    ["", "a,b", "line\nbreak", "cr\r\nlf", 'say "hi"', "plain", "é", " "],
-]
-HEADER_NAMES = ["a", " a ", "b", "c", "", "d,e", "f\ng"]
-
-
-@st.composite
-def csv_sources(draw) -> bytes:
-    width = draw(st.integers(min_value=0, max_value=4))
-    header = draw(st.lists(st.sampled_from(HEADER_NAMES), min_size=width, max_size=width))
-    # a column draws from one pool, or from two so its type is contested
-    pools = [
-        draw(st.sampled_from(FIELD_POOLS)) + draw(st.sampled_from([[], *FIELD_POOLS]))
-        for _ in range(width)
-    ]
-    rows = [
-        [draw(st.sampled_from(pool)) for pool in pools]
-        for _ in range(draw(st.integers(min_value=0, max_value=8)))
-    ]
-    if draw(st.booleans()):  # a ragged row, possibly after a multi-line field
-        ragged = draw(st.lists(st.sampled_from(FIELD_POOLS[3]), max_size=width + 2))
-        if len(ragged) != width:
-            rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), ragged)
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(
-        buffer,
-        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
-        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
-    )
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buffer.getvalue()
-    if draw(st.booleans()):
-        text = text.rstrip("\r\n")  # no line break after the last record
-    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
-
-
 csv_fuzz = st.text(alphabet=',"\r\n a1.-', max_size=40).map(str.encode) | st.binary(max_size=40)
 
 
+def _sharing(table: DataTable) -> list[list[int]]:
+    """Per column, the first row whose cell is the very object in each row."""
+    pattern = []
+    for column in table.columns:
+        first: dict[int, int] = {}
+        pattern.append([first.setdefault(id(cell), i) for i, cell in enumerate(column)])
+    return pattern
+
+
+#: Names to keep: header names as stripped, generated ones, and absent ones.
+KEPT_NAMES = ["a", "b", "", "d,e", "f\ng", "col1", "col2", "col4", "absent"]
+
+
 @settings(max_examples=500, deadline=None)
-@given(csv_sources() | csv_fuzz, st.booleans())
-@example(b'a,b\n"x\ny",1\n2\n', True)  # ragged row after a multi-line quoted field
-@example(b"\n\n\n", True)  # zero-column header, rows still counted
-def test_load_table_matches_the_row_list_loader(source, has_header):
-    assert _loaded(load_table, source, has_header) == _loaded(
-        _reference_load_table, source, has_header
+@given(csv_sources() | csv_fuzz, st.booleans(), st.sets(st.sampled_from(KEPT_NAMES)))
+@example(b'a,b\n"x\ny",1\n2\n', True, {"a"})  # ragged row after a multi-line quoted field
+@example(b"\n\n\n", True, set())  # zero-column header, rows still counted
+def test_load_table_matches_the_row_list_loader(source, has_header, columns):
+    full = _loaded(load_table, source, has_header)
+    assert full == _loaded(_reference_load_table, source, has_header)
+    # keeping some columns gives the full load cut down to them, or its error
+    projected = _loaded(functools.partial(load_table, columns=columns), source, has_header)
+    if isinstance(full, str):
+        assert projected == full
+        return
+    names, types, cells, row_count = full
+    keep = [i for i, name in enumerate(names) if name in columns]
+    assert projected == (
+        tuple(names[i] for i in keep), tuple(types[i] for i in keep),
+        [cells[i] for i in keep], row_count,
     )
+    sharing = _sharing(load_table(source, has_header=has_header))
+    kept = load_table(source, has_header=has_header, columns=columns)
+    assert _sharing(kept) == [sharing[i] for i in keep]

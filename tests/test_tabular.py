@@ -45,6 +45,37 @@ def test_field_past_the_csv_size_limit_is_a_data_error():
         load_table(b"a,b\n" + b"x" * 200_000 + b",1\n")
 
 
+#: Files that fail to load only because of what stands outside column "a".
+FAULTS_OUTSIDE_THE_READ_COLUMN = {
+    "ragged-row": (RaggedRows, b"a,b\n1,2\n1,2,3\n"),
+    "short-row": (RaggedRows, b"a,b\n1,2\n1\n"),
+    "duplicate-header-name": (DataError, b"a,b,b\n1,2,3\n"),
+    "field-past-the-size-limit": (DataError, b"a,b\n1," + b"x" * 200_000 + b"\n"),
+    "undecodable-byte": (UndecodableBytes, b"a,b\n1,\xff\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "error,source",
+    FAULTS_OUTSIDE_THE_READ_COLUMN.values(),
+    ids=FAULTS_OUTSIDE_THE_READ_COLUMN.keys(),
+)
+def test_every_check_covers_the_columns_that_are_not_kept(error, source):
+    with pytest.raises(error) as full:
+        load_table(source)
+    with pytest.raises(error) as projected:
+        load_table(source, columns={"a"})
+    assert str(projected.value) == str(full.value)
+
+
+def test_kept_columns_are_in_file_order_and_unknown_names_are_ignored():
+    table = load_table(b"a,b,c\n1,x,2.5\n", columns=["c", "a", "zz"])
+    assert table.column_names == ("a", "c")
+    assert table.column_types == (ColumnType.INTEGER, ColumnType.DECIMAL)
+    assert table.columns == ((1,), (2.5,))
+    assert load_table(b"a,b\n1,2\n", columns=()).row_count == 1
+
+
 def test_equal_loaded_cells_share_one_object():
     table = load_table(b"g,n,x\nlong label,7,0.5\nlong label,7,0.5\n,7,\n")
     for column in table.columns:
