@@ -127,7 +127,3 @@ def name_uuid(seed_namespace: str | None, content_path: str) -> str:
 
 def random_uuid() -> str:
     return str(uuid_module.uuid4())
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()

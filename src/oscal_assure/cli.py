@@ -21,10 +21,11 @@ from .enforcement import (
     trace_chain,
     unbound_controls,
 )
-from .canonical import canonical_json_bytes, sha256_hex
+from .canonical import canonical_json_bytes
 from .errors import DataError, MalformedDocument, OscalAssureError, PolicyError
 from .evidence import (
     ArtifactRole,
+    HashingReader,
     capture_environment,
     finalize_session,
     ingest_dependency_manifest,
@@ -105,6 +106,15 @@ def _read_columns(args, plan: AssessmentPlan) -> list[str]:
     one is left for it to refuse after the data has loaded."""
     flags = [flag.rpartition(":")[0] for flag in (args.target, args.prediction) if flag]
     return read_columns(plan.controls, [*flags, args.group, args.weight])
+
+
+def _load_data(args, plan: AssessmentPlan) -> tuple[DataTable, str]:
+    """The --data table, read once as a stream, and the SHA-256 of exactly
+    the bytes it was loaded from."""
+    with open(Path(args.data), "rb", buffering=0) as raw:
+        stream = HashingReader(raw)
+        table = load_table(stream, columns=_read_columns(args, plan))
+    return table, stream.hexdigest()
 
 
 def _build_bindings(args, table: DataTable) -> RoleBindings:
@@ -220,7 +230,7 @@ def cmd_enforce(args) -> int:
     plan = _load_plan(args.policy, args.ns)
 
     try:
-        table = load_table(Path(args.data).read_bytes(), columns=_read_columns(args, plan))
+        table, _ = _load_data(args, plan)
         bindings = _build_bindings(args, table)
         phase = (
             LifecyclePhase(args.phase) if args.phase else _default_phase(bindings)
@@ -253,8 +263,7 @@ def cmd_run(args) -> int:
     try:
         table = bindings = session = None
         if args.data:
-            data = Path(args.data).read_bytes()
-            table = load_table(data, columns=_read_columns(args, plan))
+            table, data_sha256 = _load_data(args, plan)
             if not args.target:
                 raise _Exit("usage error: --target is required when --data is given")
             bindings = _build_bindings(args, table)
@@ -263,7 +272,7 @@ def cmd_run(args) -> int:
         capture_environment(session)
         if args.data:
             record = record_artifact(session, args.data, role=ArtifactRole.INPUT_DATA)
-            if record.sha256 != sha256_hex(data):
+            if record.sha256 != data_sha256:
                 raise DataError(f"input data changed during the run: {args.data}")
         for path in args.hash or []:
             record_artifact(session, path, role=ArtifactRole.OTHER)
@@ -301,6 +310,9 @@ def cmd_run(args) -> int:
                 )
                 break
 
+        # only the reports are needed from here: the input is freed before
+        # the documents are serialized
+        del table, ctx
         bundle = finalize_session(
             session, reports, deterministic=args.deterministic,
             seed_namespace=args.seed_namespace,

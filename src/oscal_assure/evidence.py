@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO
 
 from .canonical import Clock, canonical_json_bytes, format_timestamp, random_uuid, utc_now
 from .enforcement import PhaseReport, combine_reports
@@ -169,6 +171,37 @@ def _hash_file(path: str | os.PathLike) -> tuple[str, int]:
             digest.update(chunk)
             size += len(chunk)
     return digest.hexdigest(), size
+
+
+class HashingReader(io.RawIOBase):
+    """A binary stream over an open file that takes the SHA-256 of every
+    byte read through it, so that a consumer's input can be compared with
+    the digest record_artifact takes. A seek back to the start restarts the
+    digest; no other seek is allowed."""
+
+    def __init__(self, raw: BinaryIO):
+        self._raw = raw
+        self._digest = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
+
+    def seekable(self) -> bool:
+        return self._raw.seekable()
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        if (offset, whence) != (0, io.SEEK_SET):
+            raise io.UnsupportedOperation("a hashing reader seeks only to the start")
+        self._digest = hashlib.sha256()
+        return self._raw.seek(0)
+
+    def hexdigest(self) -> str:
+        return self._digest.hexdigest()
 
 
 def record_artifact(

@@ -13,6 +13,7 @@ import operator
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
+from typing import BinaryIO
 
 from .errors import (
     DataError,
@@ -123,33 +124,18 @@ def _infer_column(distinct: Collection[str]) -> tuple[ColumnType, dict[str, Cell
         return ColumnType.CATEGORICAL, {v: v for v in distinct}
 
 
-def load_table(
-    source: bytes,
-    format: str = "csv",
-    has_header: bool = True,
-    columns: Collection[str] | None = None,
-) -> DataTable:
-    """Load RFC 4180 CSV bytes into a typed table.
+#: Characters read at a time when the rest of the input is read after a
+#: data error, to find an undecodable byte that must win over it.
+_DRAIN_CHARS = 1 << 16
 
-    Empty fields become missing values. Column types are inferred per
-    column: boolean, integer, decimal, else categorical.
 
-    `columns` names the columns to keep, in file order; a name the file
-    lacks is ignored, and None keeps every column. Every check still covers
-    the whole file, read or not: UTF-8 decoding, ragged rows, unreadable
-    CSV (a field past the size limit included) and duplicate header names.
-    """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
-    try:
-        # checked whole up front, so that the error and its message do not
-        # depend on how far the reader below has read
-        source.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise UndecodableBytes(f"input is not valid UTF-8: {exc}") from exc
-
-    # decoded as it is read: no copy of the whole text is kept
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline=""))
+def _read_fields(
+    text: io.TextIOBase, has_header: bool, columns: Collection[str] | None
+) -> tuple[list[str], list[list[str]], list[dict[str, str]], int]:
+    """Header names, then the raw fields of each kept column with each
+    column's distinct fields, and the row count. Raises DataError for an
+    empty input, a ragged row, unreadable CSV or a duplicate header name."""
+    reader = csv.reader(text)
     try:
         first = next(reader, None)
         if first is None:
@@ -183,11 +169,62 @@ def load_table(
         raise DataError(f"line {reader.line_num}: unreadable CSV: {exc}") from exc
     if len(set(header)) != len(header):
         raise DataError(f"duplicate column names in header: {header}")
+    return [header[i] for i in keep], raw_columns, distinct, row_count
 
-    del sinks  # its bound methods would keep every raw column alive
+
+def _undecodable(stream: BinaryIO, exc: UnicodeDecodeError) -> UndecodableBytes:
+    """The error for undecodable input, with the byte position that decoding
+    the whole input gives: exc counts from the start of the chunk that the
+    reading decoder failed in."""
+    if stream.seekable():
+        stream.seek(0)
+        try:
+            stream.read().decode("utf-8-sig")
+        except UnicodeDecodeError as whole:
+            exc = whole
+    return UndecodableBytes(f"input is not valid UTF-8: {exc}")
+
+
+def load_table(
+    source: bytes | BinaryIO,
+    format: str = "csv",
+    has_header: bool = True,
+    columns: Collection[str] | None = None,
+) -> DataTable:
+    """Load RFC 4180 CSV, as bytes or a binary stream, into a typed table.
+
+    A stream is read once, from its start to its end, and decoded as it is
+    read, so no copy of the whole input is made; it is left open. Empty
+    fields become missing values. Column types are inferred per column:
+    boolean, integer, decimal, else categorical.
+
+    `columns` names the columns to keep, in file order; a name the file
+    lacks is ignored, and None keeps every column. Every check still covers
+    the whole input, read or not: UTF-8 decoding, ragged rows, unreadable
+    CSV (a field past the size limit included), duplicate header names and
+    an empty input. An undecodable byte wins over every other fault,
+    wherever it stands, and its message gives its position in the input.
+    """
+    if format != "csv":
+        raise ValueError(f"unsupported format {format!r}")
+    stream = source if hasattr(source, "read") else io.BytesIO(source)
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
+    try:
+        try:
+            names, raw_columns, distinct, row_count = _read_fields(text, has_header, columns)
+        except DataError:
+            # read on: an undecodable byte later in the input wins
+            while text.read(_DRAIN_CHARS):
+                pass
+            raise
+        finally:
+            text.detach()  # closing the wrapper would close the stream
+    except UnicodeDecodeError as exc:
+        raise _undecodable(stream, exc) from exc
+
     types: list[ColumnType] = []
     typed: list[tuple[Cell, ...]] = []
-    for k in range(len(keep)):
+    for k in range(len(names)):
         # each raw column is freed once its typed tuple is built, before the
         # next one is
         raw, fields = raw_columns[k], distinct[k]
@@ -199,7 +236,7 @@ def load_table(
         typed.append(tuple(map(values.get, raw)))
 
     return DataTable(
-        column_names=tuple(header[i] for i in keep),
+        column_names=tuple(names),
         column_types=tuple(types),
         columns=tuple(typed),
         row_count=row_count,

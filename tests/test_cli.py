@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -342,10 +344,35 @@ def test_run_refuses_data_that_changed_after_it_was_loaded(tmp_path, capsys, mon
 
     def load_then_rewrite(source, *args, **kwargs):
         table = original_load(source, *args, **kwargs)
-        data.write_bytes(source.replace(b"female", b"male"))
+        data.write_bytes(data.read_bytes().replace(b"female", b"male"))
         return table
 
     monkeypatch.setattr(cli, "load_table", load_then_rewrite)
+    _assert_run_refuses_changed_data(tmp_path, capsys, data)
+
+
+def test_run_refuses_data_rewritten_while_it_is_read(tmp_path, capsys, monkeypatch):
+    # the file is rewritten in place after the first chunk the loader reads,
+    # so the evaluated bytes are neither the old file nor the new one
+    data = tmp_path / "data.csv"
+    data.write_bytes(SCENARIO_A_DATA.read_bytes())
+    reads = []
+
+    class RewritingReader(cli.HashingReader):
+        def readinto(self, buffer):
+            count = super().readinto(buffer)
+            reads.append(count)
+            if len(reads) == 1:
+                # same length, so the rest still parses as the same rows
+                data.write_bytes(data.read_bytes().replace(b"female", b"FEMALE"))
+            return count
+
+    monkeypatch.setattr(cli, "HashingReader", RewritingReader)
+    _assert_run_refuses_changed_data(tmp_path, capsys, data)
+    assert reads[0] < data.stat().st_size and len(reads) > 2
+
+
+def _assert_run_refuses_changed_data(tmp_path, capsys, data: Path) -> None:
     args = run_args(tmp_path / "vault", "--mode-override", "monitor")
     args[args.index(str(SCENARIO_A_DATA))] = str(data)
     assert main(args) == 1
@@ -353,6 +380,28 @@ def test_run_refuses_data_that_changed_after_it_was_loaded(tmp_path, capsys, mon
     run_dir = tmp_path / "vault" / "runs" / "credit-scoring"
     assert not (run_dir / "hashes.json").exists()
     assert not (run_dir / "assessment-results.oscal.json").exists()
+
+
+def test_run_frees_the_loaded_table_before_it_finalizes(tmp_path, monkeypatch):
+    # finalize_session serializes the documents; the input must not sit
+    # under that peak
+    loaded = []
+    original_load, original_finalize = cli.load_table, cli.finalize_session
+
+    def recording_load(*args, **kwargs):
+        table = original_load(*args, **kwargs)
+        loaded.append(weakref.ref(table))
+        return table
+
+    def finalize_after_the_table_is_gone(*args, **kwargs):
+        gc.collect()
+        assert [ref() for ref in loaded] == [None]
+        return original_finalize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_table", recording_load)
+    monkeypatch.setattr(cli, "finalize_session", finalize_after_the_table_is_gone)
+    assert main(run_args(tmp_path / "vault", "--mode-override", "monitor")) == 0
+    assert len(loaded) == 1
 
 
 def test_failed_run_leaves_no_run_directory_behind(tmp_path, monkeypatch):

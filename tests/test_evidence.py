@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
 import threading
@@ -170,6 +171,22 @@ def test_tampering_detected_by_reverification(session, tmp_path):
     records = [record_artifact(session, good), record_artifact(session, bad)]
     bad.write_bytes(b"modified")
     assert verify_artifact_records(records) == ["tampered.txt"]
+
+
+def test_hashing_reader_digests_the_bytes_read_through_it(session, tmp_path):
+    source = tmp_path / "data.bin"
+    source.write_bytes(bytes(range(256)) * 1000)
+    with open(source, "rb", buffering=0) as raw:
+        reader = evidence.HashingReader(raw)
+        head = reader.read(1000)
+        assert reader.hexdigest() == hashlib.sha256(head).hexdigest()
+        with pytest.raises(io.UnsupportedOperation):
+            reader.seek(10)
+        assert reader.seek(0) == 0  # restarts the digest
+        assert reader.hexdigest() == SHA256_EMPTY
+        whole = reader.read()
+    assert whole == source.read_bytes()
+    assert reader.hexdigest() == record_artifact(session, source).sha256
 
 
 # --- environment fingerprint -----------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import io
 import math
 
 import pytest
@@ -17,6 +19,7 @@ from oscal_assure.errors import (
     UndecodableBytes,
     UnknownPositiveLabel,
 )
+from oscal_assure.evidence import HashingReader
 from oscal_assure.metrics import MetricContext, accuracy
 from oscal_assure.tabular import ColumnType, DataTable
 
@@ -38,6 +41,58 @@ def test_header_only_file_loads_with_zero_rows():
 def test_ragged_row_reports_line_number():
     with pytest.raises(RaggedRows, match="line 3"):
         load_table(b"a,b\n1,2\n1,2,3\n")
+
+
+#: A valid prefix far longer than one chunk of the loader's decoding reader.
+LONG_BODY = b"1,x\n" * 60_000
+
+
+def _whole_input_decode_error(source: bytes) -> str:
+    with pytest.raises(UnicodeDecodeError) as exc:
+        source.decode("utf-8-sig")
+    return f"input is not valid UTF-8: {exc.value}"
+
+
+def _from_a_file(tmp_path, source: bytes, hashed: bool):
+    path = tmp_path / "data.csv"
+    path.write_bytes(source)
+    with open(path, "rb", buffering=0 if hashed else -1) as stream:
+        return load_table(HashingReader(stream) if hashed else stream)
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda tmp_path, source: load_table(source),
+        lambda tmp_path, source: load_table(io.BytesIO(source)),
+        functools.partial(_from_a_file, hashed=False),
+        functools.partial(_from_a_file, hashed=True),
+    ],
+    ids=["bytes", "bytes-io", "open-file", "hashing-reader"],
+)
+@pytest.mark.parametrize("line_2", [b"1,x\n", b"1,2,3\n"], ids=["alone", "after-a-ragged-row"])
+@pytest.mark.parametrize(
+    "tail",
+    [b"1,\xff\n1,x\n", b"1,\xc2"],
+    ids=["invalid-start-byte", "truncated-at-the-end"],
+)
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+def test_decode_error_past_the_first_chunk_gives_its_whole_input_position(
+    tmp_path, load, line_2, tail, bom
+):
+    source = bom + b"a,b\n" + line_2 + LONG_BODY + tail
+    assert len(source) > 200_000
+    with pytest.raises(UndecodableBytes) as exc:
+        load(tmp_path, source)
+    assert str(exc.value) == _whole_input_decode_error(source)
+    assert f"in position {len(source) - len(bom) - len(tail) + 2}:" in str(exc.value)
+
+
+def test_a_stream_is_read_to_its_end_and_left_open():
+    stream = io.BytesIO(b"a,b\n1,x\n" + LONG_BODY)
+    assert load_table(stream, columns={"a"}).row_count == 60_001
+    assert not stream.closed
+    assert stream.read() == b""
 
 
 def test_field_past_the_csv_size_limit_is_a_data_error():
