@@ -31,6 +31,7 @@ from .evidence import (
     ingest_dependency_manifest,
     open_session,
     record_artifact,
+    write_files,
 )
 from .metrics import MetricContext, default_registry
 from .plan import (
@@ -201,15 +202,16 @@ def _write_documents(report: PhaseReport, out_dir: Path, deterministic: bool,
         results, mapping = determinize(results, seed_namespace)
         if poam is not None:
             poam, _ = determinize(poam, seed_namespace, reference_map=mapping)
-    written = []
-    results_path = out_dir / "assessment-results.oscal.json"
-    results_path.write_bytes(serialize_canonical(results))
-    written.append(results_path)
-    if poam is not None:
-        poam_path = out_dir / "poam.oscal.json"
-        poam_path.write_bytes(serialize_canonical(poam))
-        written.append(poam_path)
-    return written
+    if poam is None:
+        # a POA&M left by an earlier run would not belong to these results
+        (out_dir / "poam.oscal.json").unlink(missing_ok=True)
+
+    def documents():
+        yield "assessment-results.oscal.json", serialize_canonical(results)
+        if poam is not None:
+            yield "poam.oscal.json", serialize_canonical(poam)
+
+    return [out_dir / name for name in write_files(out_dir, documents())]
 
 
 # --- subcommands -------------------------------------------------------------
@@ -349,11 +351,7 @@ def cmd_report(args) -> int:
     violations = validate_document_structure(results)
     if violations:
         for violation in violations:
-            print(
-                f"structural violation at {violation.path}: "
-                f"[{violation.rule}] {violation.message}",
-                file=sys.stderr,
-            )
+            print(f"structural violation at {violation}", file=sys.stderr)
         return EXIT_INVALID_POLICY
 
     poam = None
@@ -363,6 +361,13 @@ def cmd_report(args) -> int:
             poam = parse_poam_document(poam_path.read_bytes())
         except (OscalAssureError, OSError) as exc:
             print(f"note: ignoring sibling POA&M ({exc})", file=sys.stderr)
+        else:
+            # a POA&M left by another run does not cover these results' risks
+            mismatch = validate_document_structure(poam, results)
+            if mismatch:
+                poam = None
+                print(f"note: ignoring sibling POA&M (it does not match the results: "
+                      f"{mismatch[0]})", file=sys.stderr)
 
     if args.format == "json":
         sys.stdout.write(canonical_json_bytes(_report_payload(results, poam)).decode("utf-8"))
@@ -372,7 +377,7 @@ def cmd_report(args) -> int:
     if not total_findings:
         print("no findings")
     for block in results.results:
-        print(f"== {block.title} ({format_range(block)})")
+        print(f"== {block.title} ({block.start.isoformat()} .. {block.end.isoformat()})")
         for finding in block.findings:
             marker = "PASS" if finding.status.value == "satisfied" else "FAIL"
             print(f"  [{marker}] {finding.title}")
@@ -399,10 +404,6 @@ def cmd_report(args) -> int:
             treatment = f" [treatment {item.treatment_id_ref}]" if item.treatment_id_ref else ""
             print(f"  [{item.status.value}] {item.title}{treatment}")
     return EXIT_OK
-
-
-def format_range(block) -> str:
-    return f"{block.start.isoformat()} .. {block.end.isoformat()}"
 
 
 def _round_token(token: str) -> str:

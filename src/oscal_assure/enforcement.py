@@ -178,18 +178,21 @@ def control_context(spec: ControlSpec, ctx: MetricContext) -> MetricContext:
     )
 
 
-def would_execute(spec: ControlSpec) -> bool:
-    """Whether enforcement would actually compute this control's metric
-    (as opposed to skipping it)."""
-    return (
-        spec.evaluation_method is EvaluationMethod.AUTOMATED
-        and spec.evaluation_window is EvaluationWindow.PER_RUN
-    )
+def skip_reason(spec: ControlSpec, phase: LifecyclePhase | None = None) -> SkipReason | None:
+    """Why enforcement skips this control in phase (None: in any of its
+    phases), or None when it computes the control's metric."""
+    if phase is not None and phase not in spec.lifecycle_phases:
+        return SkipReason.PHASE_MISMATCH
+    if spec.evaluation_method is not EvaluationMethod.AUTOMATED:
+        return SkipReason.MANUAL_ATTESTATION_REQUIRED
+    if spec.evaluation_window is not EvaluationWindow.PER_RUN:
+        return SkipReason.WINDOW_NOT_EXECUTABLE
+    return None
 
 
 def missing_roles(spec: ControlSpec, ctx: MetricContext, registry: MetricRegistry) -> list[str]:
     """Roles a control needs that the context does not provide."""
-    if not would_execute(spec):
+    if skip_reason(spec) is not None:
         return []
     spec_ctx = control_context(spec, ctx)
     try:
@@ -225,7 +228,7 @@ def _with_joint_count(
     built-in controls among specs may read: the bound roles, group
     overrides and stratify_by columns, plus the weight. A column the table
     lacks is left out, so only the control that names it fails on it."""
-    readers = [s for s in specs if would_execute(s) and _reads_joint_count(s, registry)]
+    readers = [s for s in specs if skip_reason(s) is None and _reads_joint_count(s, registry)]
     b = ctx.bindings
     if not readers or b is None:
         return ctx
@@ -381,12 +384,9 @@ def evaluate_control(
     stratify_by is set, manual/hybrid and non-per-run controls are skipped,
     and evaluation errors fail closed (not-satisfied + evaluation-error)."""
     clock = clock or utc_now
-    if phase is not None and phase not in spec.lifecycle_phases:
-        return _skip_verdict(spec, SkipReason.PHASE_MISMATCH, clock)
-    if spec.evaluation_method is not EvaluationMethod.AUTOMATED:
-        return _skip_verdict(spec, SkipReason.MANUAL_ATTESTATION_REQUIRED, clock)
-    if spec.evaluation_window is not EvaluationWindow.PER_RUN:
-        return _skip_verdict(spec, SkipReason.WINDOW_NOT_EXECUTABLE, clock)
+    reason = skip_reason(spec, phase)
+    if reason is not None:
+        return _skip_verdict(spec, reason, clock)
 
     observations: list[Observation] = []
     failures: list[tuple[float | None, MetricOutcome | None, str | None]] = []

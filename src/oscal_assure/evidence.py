@@ -17,11 +17,11 @@ import json
 import os
 import platform
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable, Iterator
 
 from .canonical import Clock, canonical_json_bytes, format_timestamp, random_uuid, utc_now
 from .enforcement import PhaseReport, combine_reports
@@ -104,9 +104,6 @@ class RunSession:
 @dataclass(frozen=True)
 class EvidenceBundle:
     session: RunSession
-    artifacts: tuple[ArtifactRecord, ...]
-    environment: EnvFingerprint | None
-    bom: DependencyBom | None
     handshake_ok: bool
     written_files: tuple[str, ...]
 
@@ -274,7 +271,7 @@ def make_fingerprint(
         os_version=os_version,
         architecture=architecture,
         logical_cpus=logical_cpus,
-        runtime_identifiers=dict(runtime_identifiers),
+        runtime_identifiers=dict(sorted(runtime_identifiers.items())),
         fingerprint_digest=digest,
     )
 
@@ -296,18 +293,12 @@ def capture_environment(session: RunSession) -> EnvFingerprint:
     return fingerprint
 
 
-def ingest_dependency_manifest(
-    session: RunSession,
-    path: str | os.PathLike,
-    kind: str = "generic-lockfile",
-) -> DependencyBom:
+def ingest_dependency_manifest(session: RunSession, path: str | os.PathLike) -> DependencyBom:
     """Parse 'name==version' / 'name version' lines into a BOM.
 
     Blank and '#'-comment lines are skipped. Same name at two versions is
     retained; exact duplicate pairs collapse to one component.
     """
-    if kind != "generic-lockfile":
-        raise ValueError(f"unsupported manifest kind {kind!r}")
     session._check_open()
     source = Path(path)
     try:
@@ -357,40 +348,55 @@ def bom_to_dict(bom: DependencyBom) -> dict:
     }
 
 
-def _artifact_to_dict(record: ArtifactRecord) -> dict:
-    return {
-        "logical_name": record.logical_name,
-        "path": record.path,
-        "sha256": record.sha256,
-        "byte_size": record.byte_size,
-        "role": record.role.value,
-    }
+def write_files(directory: Path, files: Iterable[tuple[str, bytes]]) -> list[str]:
+    """Write each (name, bytes) of `files` into directory, in order, and
+    return the names written. Each file is written whole or not at all:
+    its bytes go to a temporary file in the directory, which then replaces
+    the target. A payload is freed once it is written, before the next
+    one is built."""
+    written = []
+    for name, payload in files:
+        target = directory / name
+        temporary = directory / f".{name}.{random_uuid()}.tmp"
+        try:
+            with open(temporary, "xb") as handle:
+                handle.write(payload)
+            os.replace(temporary, target)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
+            raise UnwritableVault(f"cannot write {target}: {exc}") from exc
+        del payload  # else it stays alive while the next one is built
+        written.append(name)
+    return written
 
 
-def _environment_to_dict(fp: EnvFingerprint) -> dict:
-    return {
-        "os_name": fp.os_name,
-        "os_version": fp.os_version,
-        "architecture": fp.architecture,
-        "logical_cpus": fp.logical_cpus,
-        "runtime_identifiers": dict(sorted(fp.runtime_identifiers.items())),
-        "fingerprint_digest": fp.fingerprint_digest,
-    }
-
-
-def _write_vault_file(run_dir: Path, name: str, payload: bytes) -> None:
-    """Write a vault file whole or not at all: the bytes go to a temporary
-    file in the run directory, which then replaces the target."""
-    target = run_dir / name
-    temporary = run_dir / f".{name}.{random_uuid()}.tmp"
-    try:
-        with open(temporary, "xb") as handle:
-            handle.write(payload)
-        os.replace(temporary, target)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            temporary.unlink(missing_ok=True)
-        raise UnwritableVault(f"cannot write {target}: {exc}") from exc
+def _vault_files(session: RunSession, phase_reports: list[PhaseReport], deterministic: bool,
+                 seed_namespace: str | None) -> Iterator[tuple[str, bytes]]:
+    """The run directory's files in order, each serialized only when it is
+    asked for."""
+    results, poam = combine_reports(list(phase_reports))
+    if results is not None:
+        if deterministic:
+            results, mapping = determinize(results, seed_namespace)
+            if poam is not None:
+                poam, _ = determinize(poam, seed_namespace, reference_map=mapping)
+        yield "assessment-results.oscal.json", serialize_canonical(results)
+        if poam is not None:
+            yield "poam.oscal.json", serialize_canonical(poam)
+    if session.artifacts:
+        yield "hashes.json", canonical_json_bytes([asdict(r) for r in session.artifacts])
+    if session.environment is not None:
+        yield "environment.json", canonical_json_bytes(asdict(session.environment))
+    if session.bom is not None:
+        yield "bom.json", canonical_json_bytes(bom_to_dict(session.bom))
+    yield "handshake.json", canonical_json_bytes({
+        "handshake_ok": session.handshake,
+        "phase_count": len(phase_reports),
+        "run_id": session.run_id,
+        "started_at": format_timestamp(session.started_at),
+        "finished_at": format_timestamp(session.finished_at),
+    })
 
 
 def finalize_session(
@@ -408,66 +414,11 @@ def finalize_session(
     clock = clock or utc_now
     session.finished_at = clock()
     session.handshake = len(phase_reports) >= 1
-
-    written: list[str] = []
-    results, poam = combine_reports(list(phase_reports))
-    if results is not None:
-        if deterministic:
-            results, mapping = determinize(results, seed_namespace)
-            if poam is not None:
-                poam, _ = determinize(poam, seed_namespace, reference_map=mapping)
-        _write_vault_file(
-            session.run_dir,
-            "assessment-results.oscal.json",
-            serialize_canonical(results),
-        )
-        written.append("assessment-results.oscal.json")
-        if poam is not None:
-            _write_vault_file(
-                session.run_dir, "poam.oscal.json", serialize_canonical(poam)
-            )
-            written.append("poam.oscal.json")
-
-    if session.artifacts:
-        _write_vault_file(
-            session.run_dir,
-            "hashes.json",
-            canonical_json_bytes([_artifact_to_dict(r) for r in session.artifacts]),
-        )
-        written.append("hashes.json")
-
-    if session.environment is not None:
-        _write_vault_file(
-            session.run_dir,
-            "environment.json",
-            canonical_json_bytes(_environment_to_dict(session.environment)),
-        )
-        written.append("environment.json")
-
-    if session.bom is not None:
-        _write_vault_file(
-            session.run_dir, "bom.json", canonical_json_bytes(bom_to_dict(session.bom))
-        )
-        written.append("bom.json")
-
-    handshake_payload = {
-        "handshake_ok": session.handshake,
-        "phase_count": len(phase_reports),
-        "run_id": session.run_id,
-        "started_at": format_timestamp(session.started_at),
-        "finished_at": format_timestamp(session.finished_at),
-    }
-    _write_vault_file(
-        session.run_dir, "handshake.json", canonical_json_bytes(handshake_payload)
+    written = write_files(
+        session.run_dir,
+        _vault_files(session, phase_reports, deterministic, seed_namespace),
     )
-    written.append("handshake.json")
-
     session.closed = True
     return EvidenceBundle(
-        session=session,
-        artifacts=tuple(session.artifacts),
-        environment=session.environment,
-        bom=session.bom,
-        handshake_ok=session.handshake,
-        written_files=tuple(written),
+        session=session, handshake_ok=session.handshake, written_files=tuple(written)
     )

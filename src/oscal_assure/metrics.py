@@ -383,28 +383,31 @@ def group_reweight(ctx: MetricContext) -> list[float]:
     ]
 
 
+#: The built-in metrics: key, function, roles read, description.
+_BUILTINS = (
+    ("class_imbalance_ratio", class_imbalance_ratio, {"target"},
+     "minority/majority class mass on the target column"),
+    ("group_positive_rates", group_positive_rates, {"subject", "group"},
+     "positive-label fraction per group (value = max rate)"),
+    ("disparate_impact", disparate_impact, {"subject", "group"},
+     "min over max group positive rate"),
+    ("demographic_parity_difference", demographic_parity_difference,
+     {"subject", "group"}, "max minus min group positive rate"),
+    ("accuracy", accuracy, {"target", "prediction"}, "(TP+TN)/N"),
+    ("sensitivity", sensitivity, {"target", "prediction"}, "TP/(TP+FN)"),
+    ("specificity", specificity, {"target", "prediction"}, "TN/(TN+FP)"),
+    ("dice", dice, {"target", "prediction"}, "2TP/(2TP+FP+FN)"),
+)
+
+
 def is_builtin(fn: MetricFunction) -> bool:
     """Whether fn is a built-in metric, which reads ctx.joint when set."""
-    return fn in (class_imbalance_ratio, group_positive_rates, disparate_impact,
-                  demographic_parity_difference, accuracy, sensitivity, specificity, dice)
+    return any(fn is builtin for _, builtin, _, _ in _BUILTINS)
 
 
 def default_registry() -> MetricRegistry:
     """Fresh registry with the built-in metric set."""
     registry = MetricRegistry()
-    for key, fn, roles, description in (
-        ("class_imbalance_ratio", class_imbalance_ratio, {"target"},
-         "minority/majority class mass on the target column"),
-        ("group_positive_rates", group_positive_rates, {"subject", "group"},
-         "positive-label fraction per group (value = max rate)"),
-        ("disparate_impact", disparate_impact, {"subject", "group"},
-         "min over max group positive rate"),
-        ("demographic_parity_difference", demographic_parity_difference,
-         {"subject", "group"}, "max minus min group positive rate"),
-        ("accuracy", accuracy, {"target", "prediction"}, "(TP+TN)/N"),
-        ("sensitivity", sensitivity, {"target", "prediction"}, "TP/(TP+FN)"),
-        ("specificity", specificity, {"target", "prediction"}, "TN/(TN+FP)"),
-        ("dice", dice, {"target", "prediction"}, "2TP/(2TP+FP+FN)"),
-    ):
+    for key, fn, roles, description in _BUILTINS:
         registry.register(key, fn, roles, description)
     return registry

@@ -118,6 +118,9 @@ class StructuralViolation:
     rule: str
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.path}: [{self.rule}] {self.message}"
+
 
 _MANDATORY_FACETS = ("metric", "actual", "threshold", "operator")
 

@@ -187,7 +187,6 @@ def _undecodable(stream: BinaryIO, exc: UnicodeDecodeError) -> UndecodableBytes:
 
 def load_table(
     source: bytes | BinaryIO,
-    format: str = "csv",
     has_header: bool = True,
     columns: Collection[str] | None = None,
 ) -> DataTable:
@@ -205,8 +204,6 @@ def load_table(
     an empty input. An undecodable byte wins over every other fault,
     wherever it stands, and its message gives its position in the input.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     stream = source if hasattr(source, "read") else io.BytesIO(source)
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import gc
 import json
+import shutil
 import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import DEMO_DIR, FIG2_PLAN, SCENARIO_A_DATA, SCENARIO_A_PLAN
-from oscal_assure import cli
+from oscal_assure import cli, evidence
 from oscal_assure.cli import main
 
 MONITORING_PLAN = """\
@@ -230,6 +231,33 @@ def test_enforce_bad_binding_syntax_exits_one(tmp_path, capsys):
         == 1
     )
     assert "column:positive-label" in capsys.readouterr().err
+
+
+def test_enforce_removes_a_poam_its_results_do_not_have(tmp_path, capsys):
+    # a passing run into the --out of a blocked one used to leave the
+    # blocked run's POA&M beside results that raise no risk
+    assert main(enforce_args(tmp_path, "--deterministic")) == 2
+    passing = ["--phase", "validation", "--prediction", "prediction:good", "--deterministic"]
+    assert main(enforce_args(tmp_path, *passing)) == 0
+    assert not (tmp_path / "poam.oscal.json").exists()
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "assessment-results.oscal.json")]) == 0
+    captured = capsys.readouterr()
+    assert "POA&M" not in captured.out
+    assert captured.err == ""
+
+
+def test_enforce_failed_write_leaves_neither_target_nor_temporary_file(
+    tmp_path, monkeypatch, capsys
+):
+    def fail(source, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(evidence.os, "replace", fail)
+    assert main(enforce_args(tmp_path)) == 1
+    target = tmp_path / "assessment-results.oscal.json"
+    assert capsys.readouterr().err == f"error: cannot write {target}: disk full\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- run ------------------------------------------------------------------------
@@ -647,6 +675,25 @@ def test_report_notes_and_ignores_an_unreadable_sibling_poam(pre_results_dir, tm
     captured = capsys.readouterr()
     assert "note: ignoring sibling POA&M" in captured.err
     assert "== POA&M" not in captured.out
+
+
+def test_report_notes_and_ignores_a_sibling_poam_of_other_results(tmp_path, capsys):
+    blocked, passed = tmp_path / "blocked", tmp_path / "passed"
+    assert main(enforce_args(blocked)) == 2
+    assert main(enforce_args(passed, "--prediction", "prediction:good")) == 0
+    shutil.copyfile(blocked / "poam.oscal.json", passed / "poam.oscal.json")
+    capsys.readouterr()
+    results = str(passed / "assessment-results.oscal.json")
+
+    assert main(["report", results]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "note: ignoring sibling POA&M (it does not match the results: "
+        "poam-items[0]: [reference-missing] item references unknown risk "
+    )
+    assert "POA&M" not in captured.out
+    assert main(["report", results, "--format", "json"]) == 0
+    assert "poam_items" not in json.loads(capsys.readouterr().out)
 
 
 # --- trace ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -32,6 +33,7 @@ from oscal_assure.evidence import (
     finalize_session,
     ingest_dependency_manifest,
     make_fingerprint,
+    write_files,
 )
 from oscal_assure.plan import LifecyclePhase
 
@@ -364,3 +366,52 @@ def test_deterministic_finalize_uses_epoch_clock(session, scenario_a_reports):
         (session.run_dir / "assessment-results.oscal.json").read_bytes()
     )
     assert results.last_modified == DETERMINISTIC_EPOCH
+
+
+def test_records_are_written_field_by_field_in_declaration_order(session, tmp_path):
+    data = tmp_path / "abc.txt"
+    data.write_bytes(b"abc")
+    record_artifact(session, data, role=ArtifactRole.INPUT_DATA)
+    session.environment = make_fingerprint("linux", "6.1", "x86_64", 4, {"z": "1", "a": "2"})
+    finalize_session(session, [])
+
+    record = {
+        "logical_name": "abc.txt",
+        "path": str(data),
+        "sha256": SHA256_ABC,
+        "byte_size": 3,
+        "role": "input-data",
+    }
+    hashes = (session.run_dir / "hashes.json").read_text(encoding="utf-8")
+    assert hashes == json.dumps([record], indent=2) + "\n"
+    environment = json.loads((session.run_dir / "environment.json").read_text())
+    assert list(environment) == [
+        "os_name",
+        "os_version",
+        "architecture",
+        "logical_cpus",
+        "runtime_identifiers",
+        "fingerprint_digest",
+    ]
+    assert list(environment["runtime_identifiers"].items()) == [("a", "2"), ("z", "1")]
+
+
+class _Payload(bytearray):
+    """A payload that a weak reference can watch."""
+
+
+def test_each_payload_is_freed_before_the_next_is_built(tmp_path):
+    refs = []
+
+    def payload() -> _Payload:
+        assert all(ref() is None for ref in refs)  # every earlier one is freed
+        built = _Payload(b"x" * 10)
+        refs.append(weakref.ref(built))
+        return built
+
+    def files():
+        for name in ("a", "b", "c"):
+            yield name, payload()
+
+    assert write_files(tmp_path, files()) == ["a", "b", "c"]
+    assert [p.read_bytes() for p in sorted(tmp_path.iterdir())] == [b"x" * 10] * 3
