@@ -12,11 +12,8 @@ import math
 import uuid as uuid_module
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
-from typing import Callable
 
-Clock = Callable[[], datetime]
-
-#: Fixed instant used by deterministic serialization when no clock is injected.
+#: The one instant `serialize.determinize` stamps on every timestamp.
 DETERMINISTIC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 

@@ -202,16 +202,18 @@ def _write_documents(report: PhaseReport, out_dir: Path, deterministic: bool,
         results, mapping = determinize(results, seed_namespace)
         if poam is not None:
             poam, _ = determinize(poam, seed_namespace, reference_map=mapping)
-    if poam is None:
-        # a POA&M left by an earlier run would not belong to these results
-        (out_dir / "poam.oscal.json").unlink(missing_ok=True)
 
     def documents():
         yield "assessment-results.oscal.json", serialize_canonical(results)
         if poam is not None:
             yield "poam.oscal.json", serialize_canonical(poam)
 
-    return [out_dir / name for name in write_files(out_dir, documents())]
+    written = [out_dir / name for name in write_files(out_dir, documents())]
+    if poam is None:
+        # a POA&M left by an earlier run does not belong to these results;
+        # it goes only once they are in place, so a failed write keeps the pair
+        (out_dir / "poam.oscal.json").unlink(missing_ok=True)
+    return written
 
 
 # --- subcommands -------------------------------------------------------------

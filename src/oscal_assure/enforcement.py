@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .canonical import Clock, random_uuid, utc_now
+from .canonical import random_uuid, utc_now
 from .errors import (
     BlockingControlFailure,
     NonCategoricalColumn,
@@ -271,11 +271,7 @@ def unbound_controls(
     ]
 
 
-def _skip_verdict(
-    spec: ControlSpec,
-    reason: SkipReason,
-    clock: Clock,
-) -> Verdict:
+def _skip_verdict(spec: ControlSpec, reason: SkipReason) -> Verdict:
     method = (
         ObservationMethod.EXAMINE
         if reason is SkipReason.MANUAL_ATTESTATION_REQUIRED
@@ -287,7 +283,7 @@ def _skip_verdict(
         description=spec.description,
         method=method,
         observed_value=None,
-        collected_at=clock(),
+        collected_at=utc_now(),
         relevant_control_id=spec.control_id,
         remarks=f"skipped: {reason.value}",
     )
@@ -377,16 +373,14 @@ def evaluate_control(
     ctx: MetricContext,
     registry: MetricRegistry,
     phase: LifecyclePhase | None = None,
-    clock: Clock | None = None,
     mode_override: EnforcementMode | None = None,
 ) -> Verdict:
     """Evaluate one control: the metric runs once per stratum when
     stratify_by is set, manual/hybrid and non-per-run controls are skipped,
     and evaluation errors fail closed (not-satisfied + evaluation-error)."""
-    clock = clock or utc_now
     reason = skip_reason(spec, phase)
     if reason is not None:
-        return _skip_verdict(spec, reason, clock)
+        return _skip_verdict(spec, reason)
 
     observations: list[Observation] = []
     failures: list[tuple[float | None, MetricOutcome | None, str | None]] = []
@@ -412,7 +406,7 @@ def evaluate_control(
                 description=spec.description,
                 method=ObservationMethod.TEST,
                 observed_value=value,
-                collected_at=clock(),
+                collected_at=utc_now(),
                 relevant_control_id=spec.control_id,
                 per_group=dict(outcome.per_group) if outcome and outcome.per_group else None,
                 stratum=stratum_label,
@@ -476,7 +470,6 @@ def enforce_phase(
     ctx: MetricContext,
     registry: MetricRegistry,
     mode_override: EnforcementMode | None = None,
-    clock: Clock | None = None,
 ) -> PhaseReport:
     """Evaluate all controls selected for a phase, in plan order.
 
@@ -484,7 +477,6 @@ def enforce_phase(
     controls (complete evidence); the report carries blocked=True and the
     caller aborts at the process boundary after the phase.
     """
-    clock = clock or utc_now
     unbound = unbound_controls(plan, phase, ctx, registry)
     if unbound:
         raise PolicyDataMismatch(
@@ -496,12 +488,11 @@ def enforce_phase(
     selected = select_controls(plan, phase)
     ctx = _with_joint_count(selected, ctx, registry)
 
-    start = clock()
+    start = utc_now()
     verdicts = tuple(
-        evaluate_control(spec, ctx, registry, phase, clock, mode_override)
-        for spec in selected
+        evaluate_control(spec, ctx, registry, phase, mode_override) for spec in selected
     )
-    end = clock()
+    end = utc_now()
 
     observations = tuple(obs for v in verdicts for obs in v.observations)
     findings = tuple(v.finding for v in verdicts if v.finding is not None)
@@ -523,7 +514,7 @@ def enforce_phase(
         last_modified=end,
         results=(block,),
     )
-    poam = generate_poam(results, plan, clock) if risks else None
+    poam = generate_poam(results, plan) if risks else None
     blocked = any(
         v.enforcement_action_taken is EnforcementAction.BLOCKED for v in verdicts
     )
@@ -536,14 +527,9 @@ def enforce_phase(
     )
 
 
-def generate_poam(
-    results: AssessmentResults,
-    plan: AssessmentPlan,
-    clock: Clock | None = None,
-) -> PoamDocument:
+def generate_poam(results: AssessmentResults, plan: AssessmentPlan) -> PoamDocument:
     """One open POA&M item per open risk, carrying the originating
     control's treatment id when the plan declares one."""
-    clock = clock or utc_now
     findings_by_uuid = {f.uuid: f for f in results.all_findings()}
     items = []
     for risk in results.all_risks():
@@ -576,17 +562,16 @@ def generate_poam(
         uuid=random_uuid(),
         title=f"POA&M: {plan.title}" if plan.title else "POA&M",
         version=plan.version,
-        last_modified=clock(),
+        last_modified=utc_now(),
         poam_items=tuple(items),
     )
 
 
 def combine_reports(
-    reports: list[PhaseReport], clock: Clock | None = None
+    reports: list[PhaseReport],
 ) -> tuple[AssessmentResults | None, PoamDocument | None]:
     """Merge per-phase reports into one results document (one result block
     per phase) and one POA&M holding every open item."""
-    clock = clock or utc_now
     if not reports:
         return None, None
     blocks = tuple(
@@ -594,7 +579,7 @@ def combine_reports(
     )
     first = reports[0].assessment_results
     merged = dataclasses.replace(
-        first, uuid=random_uuid(), last_modified=clock(), results=blocks
+        first, uuid=random_uuid(), last_modified=utc_now(), results=blocks
     )
     items = tuple(
         item for report in reports if report.poam is not None for item in report.poam.poam_items
@@ -603,7 +588,7 @@ def combine_reports(
         return merged, None
     first_poam = next(report.poam for report in reports if report.poam is not None)
     poam = dataclasses.replace(
-        first_poam, uuid=random_uuid(), last_modified=clock(), poam_items=items
+        first_poam, uuid=random_uuid(), last_modified=utc_now(), poam_items=items
     )
     return merged, poam
 

@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from .canonical import Clock, canonical_json_bytes, format_timestamp, random_uuid, utc_now
+from .canonical import canonical_json_bytes, format_timestamp, random_uuid, utc_now
 from .enforcement import PhaseReport, combine_reports
 from .errors import (
     InvalidRunId,
@@ -117,15 +117,12 @@ def resolve_vault_root(vault_root: str | os.PathLike | None = None) -> Path:
 
 
 def open_session(
-    run_id: str | None = None,
-    vault_root: str | os.PathLike | None = None,
-    clock: Clock | None = None,
+    run_id: str | None = None, vault_root: str | os.PathLike | None = None
 ) -> RunSession:
     """Create <root>/runs/<run_id>/; an existing run_id gets a numeric
     suffix (credit-scoring -> credit-scoring-2)."""
-    clock = clock or utc_now
     root = resolve_vault_root(vault_root)
-    started = clock()
+    started = utc_now()
     if run_id is None:
         run_id = started.strftime("run-%Y%m%d-%H%M%S")
     elif not _RUN_ID_RE.match(run_id):
@@ -349,26 +346,31 @@ def bom_to_dict(bom: DependencyBom) -> dict:
 
 
 def write_files(directory: Path, files: Iterable[tuple[str, bytes]]) -> list[str]:
-    """Write each (name, bytes) of `files` into directory, in order, and
-    return the names written. Each file is written whole or not at all:
-    its bytes go to a temporary file in the directory, which then replaces
-    the target. A payload is freed once it is written, before the next
-    one is built."""
-    written = []
-    for name, payload in files:
-        target = directory / name
-        temporary = directory / f".{name}.{random_uuid()}.tmp"
-        try:
+    """Write each (name, bytes) of `files` into directory and return the
+    names written, in order. Every payload is first written to a temporary
+    file in the directory, and freed before the next one is built; only
+    when all are staged do they replace their targets, in order. A failure
+    removes every staged file, so a failed write leaves every target as it
+    was; only a failed rename leaves the targets before it replaced."""
+    staged: list[tuple[Path, Path]] = []
+    target = directory
+    try:
+        for name, payload in files:
+            target = directory / name
+            temporary = directory / f".{name}.{random_uuid()}.tmp"
+            staged.append((temporary, target))
             with open(temporary, "xb") as handle:
                 handle.write(payload)
+            del payload  # else it stays alive while the next one is built
+        for temporary, target in staged:
             os.replace(temporary, target)
-        except OSError as exc:
+    except OSError as exc:
+        raise UnwritableVault(f"cannot write {target}: {exc}") from exc
+    finally:
+        for temporary, _ in staged:  # each one renamed is already gone
             with contextlib.suppress(OSError):
                 temporary.unlink(missing_ok=True)
-            raise UnwritableVault(f"cannot write {target}: {exc}") from exc
-        del payload  # else it stays alive while the next one is built
-        written.append(name)
-    return written
+    return [target.name for _, target in staged]
 
 
 def _vault_files(session: RunSession, phase_reports: list[PhaseReport], deterministic: bool,
@@ -404,15 +406,13 @@ def finalize_session(
     phase_reports: list[PhaseReport],
     deterministic: bool = False,
     seed_namespace: str | None = None,
-    clock: Clock | None = None,
 ) -> EvidenceBundle:
     """Write the vault bundle and close the session.
 
     handshake_ok is true iff at least one enforcement phase report is
     attached (enforce ran within the session)."""
     session._check_open()
-    clock = clock or utc_now
-    session.finished_at = clock()
+    session.finished_at = utc_now()
     session.handshake = len(phase_reports) >= 1
     written = write_files(
         session.run_dir,

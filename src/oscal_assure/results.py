@@ -154,11 +154,11 @@ def _validate_results(doc: AssessmentResults) -> list[StructuralViolation]:
                             "observation has no finite value and no explanatory remark",
                         )
                     )
-        finding_uuids = set()
+        findings: dict[str, Finding] = {}
         for i, finding in enumerate(block.findings):
             path = f"{base}.findings[{i}]"
             _check_uuid(finding.uuid, path, violations)
-            finding_uuids.add(finding.uuid)
+            findings[finding.uuid] = finding
             if not finding.related_observation_uuids:
                 violations.append(
                     StructuralViolation(
@@ -177,12 +177,22 @@ def _validate_results(doc: AssessmentResults) -> list[StructuralViolation]:
         for i, risk in enumerate(block.risks):
             path = f"{base}.risks[{i}]"
             _check_uuid(risk.uuid, path, violations)
-            if risk.linked_finding_uuid not in finding_uuids:
+            linked = findings.get(risk.linked_finding_uuid)
+            if linked is None:
                 violations.append(
                     StructuralViolation(
                         path,
                         "reference-missing",
                         f"risk references unknown finding {risk.linked_finding_uuid}",
+                    )
+                )
+            elif risk.status is RiskStatus.OPEN and linked.status is FindingStatus.SATISFIED:
+                # a risk is raised only by a failed finding: an edited state shows here
+                violations.append(
+                    StructuralViolation(
+                        path,
+                        "risk-status",
+                        f"open risk links to satisfied finding {risk.linked_finding_uuid}",
                     )
                 )
             present = {name for name, _ in risk.facets}
@@ -249,7 +259,8 @@ def validate_document_structure(
     results: AssessmentResults | None = None,
 ) -> list[StructuralViolation]:
     """Structural checks: uuid presence, reference integrity, mandatory
-    facets, POA&M cardinality. Empty list means the document is valid.
+    facets, no open risk on a satisfied finding, POA&M cardinality. Empty
+    list means the document is valid.
 
     Passing the paired assessment results alongside a POA&M additionally
     checks the one-item-per-open-risk contract.

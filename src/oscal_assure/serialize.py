@@ -1,5 +1,5 @@
 """Document <-> JSON conversion, canonical byte serialization, and the
-deterministic rewrite (name-based uuids + injected clock).
+deterministic rewrite (name-based uuids + a fixed epoch).
 
 Key order in emitted JSON is fixed by construction order here; canonical
 bytes come from canonical.canonical_json_bytes.
@@ -13,7 +13,6 @@ from datetime import datetime
 
 from .canonical import (
     DETERMINISTIC_EPOCH,
-    Clock,
     canonical_json_bytes,
     format_timestamp,
     name_uuid,
@@ -217,18 +216,17 @@ def poam_to_dict(doc: PoamDocument) -> dict:
 def determinize(
     doc: Document,
     seed_namespace: str | None = None,
-    clock: Clock | None = None,
     reference_map: dict[str, str] | None = None,
 ) -> tuple[Document, dict[str, str]]:
     """Rewrite a document with name-based uuids derived from content paths
-    and timestamps from the injected clock.
+    and every timestamp set to DETERMINISTIC_EPOCH. This is the one way to
+    make a document's bytes reproducible: serialize what it returns.
 
     Returns the rewritten document and the old->new uuid map, so a paired
     document (POA&M referencing risks) can be rewritten consistently by
     passing the map as reference_map. A POA&M whose risk references the
     map does not cover raises SerializationFailure.
     """
-    instant = clock() if clock is not None else DETERMINISTIC_EPOCH
     mapping: dict[str, str] = dict(reference_map or {})
 
     def assign(old: str, path: str) -> str:
@@ -241,7 +239,9 @@ def determinize(
 
     if isinstance(doc, AssessmentPlan):
         return (
-            replace(doc, uuid=assign(doc.uuid, "assessment-plan"), last_modified=instant),
+            replace(
+                doc, uuid=assign(doc.uuid, "assessment-plan"), last_modified=DETERMINISTIC_EPOCH
+            ),
             mapping,
         )
 
@@ -256,7 +256,7 @@ def determinize(
                         f"results[{b}]/observations[{i}]/{obs.relevant_control_id}"
                         f"/{obs.stratum or ''}",
                     ),
-                    collected_at=instant,
+                    collected_at=DETERMINISTIC_EPOCH,
                 )
                 for i, obs in enumerate(block.observations)
             )
@@ -280,8 +280,8 @@ def determinize(
                 replace(
                     block,
                     uuid=assign(block.uuid, f"results[{b}]"),
-                    start=instant,
-                    end=instant,
+                    start=DETERMINISTIC_EPOCH,
+                    end=DETERMINISTIC_EPOCH,
                     observations=observations,
                     findings=findings,
                     risks=risks,
@@ -291,7 +291,7 @@ def determinize(
             replace(
                 doc,
                 uuid=assign(doc.uuid, "assessment-results"),
-                last_modified=instant,
+                last_modified=DETERMINISTIC_EPOCH,
                 results=tuple(blocks),
             ),
             mapping,
@@ -317,7 +317,7 @@ def determinize(
             replace(
                 doc,
                 uuid=assign(doc.uuid, "plan-of-action-and-milestones"),
-                last_modified=instant,
+                last_modified=DETERMINISTIC_EPOCH,
                 poam_items=items,
             ),
             mapping,
@@ -329,21 +329,10 @@ def determinize(
 # --- canonical serialization -------------------------------------------------
 
 
-def serialize_canonical(
-    doc: Document,
-    deterministic: bool = False,
-    seed_namespace: str | None = None,
-    clock: Clock | None = None,
-) -> bytes:
-    """Canonical JSON bytes for a document.
-
-    Deterministic mode rewrites uuids to name-based identifiers and takes
-    every timestamp from the injected clock (fixed epoch by default), so
-    identical content serializes byte-identically across runs.
-    """
-    if deterministic:
-        doc, _ = determinize(doc, seed_namespace, clock)
-
+def serialize_canonical(doc: Document) -> bytes:
+    """Canonical JSON bytes for a document, as it stands. For bytes that
+    are identical across runs, pass the document through determinize
+    first."""
     if isinstance(doc, AssessmentPlan):
         ids = [spec.control_id for spec in doc.controls]
         if len(set(ids)) != len(ids):

@@ -260,6 +260,40 @@ def test_enforce_failed_write_leaves_neither_target_nor_temporary_file(
     assert list(tmp_path.iterdir()) == []
 
 
+def fail_staging(monkeypatch, name: str) -> None:
+    """Make writing the temporary file of `name` raise, as a full disk would."""
+
+    def staging_open(path, *args, **kwargs):
+        if Path(path).name.startswith(f".{name}."):
+            raise OSError("disk full")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(evidence, "open", staging_open, raising=False)
+
+
+@pytest.mark.parametrize(
+    "extra, failing",
+    [
+        ((), "poam.oscal.json"),
+        (("--phase", "validation", "--prediction", "prediction:good"),
+         "assessment-results.oscal.json"),
+    ],
+    ids=["blocked-again", "passing"],
+)
+def test_enforce_failed_write_keeps_the_earlier_results_and_poam(
+    tmp_path, monkeypatch, capsys, extra, failing
+):
+    # every document is staged before the first rename, and a stale POA&M
+    # goes only after the new results are in place
+    assert main(enforce_args(tmp_path)) == 2
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail_staging(monkeypatch, failing)
+    capsys.readouterr()
+    assert main(enforce_args(tmp_path, *extra)) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / failing}: disk full\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # --- run ------------------------------------------------------------------------
 
 
@@ -454,6 +488,13 @@ def test_failed_run_leaves_no_run_directory_behind(tmp_path, monkeypatch):
     assert list((tmp_path / "vault" / "runs").iterdir()) == []
 
 
+def test_run_failed_poam_write_leaves_no_partial_run_directory(tmp_path, monkeypatch, capsys):
+    fail_staging(monkeypatch, "poam.oscal.json")
+    assert main(run_args(tmp_path / "vault", "--deterministic")) == 1
+    assert "poam.oscal.json: disk full" in capsys.readouterr().err
+    assert list((tmp_path / "vault" / "runs").iterdir()) == []
+
+
 def test_run_with_an_undecodable_lockfile_exits_one_and_leaves_no_run_directory(
     tmp_path, capsys
 ):
@@ -579,6 +620,16 @@ def test_report_structurally_invalid_results_exits_three(pre_results_dir, capsys
     assert main(["report", str(broken)]) == 3
     err = capsys.readouterr().err
     assert "results[0].findings[0]" in err
+
+
+def test_report_rejects_a_flipped_finding_that_still_carries_its_risk(pre_results_dir, capsys):
+    path = pre_results_dir / "assessment-results.oscal.json"
+    path.write_text(path.read_text().replace('"not-satisfied"', '"satisfied"'))
+    (pre_results_dir / "poam.oscal.json").unlink()
+    assert main(["report", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "structural violation at results[0].risks[0]: [risk-status]" in captured.err
+    assert "[PASS]" not in captured.out
 
 
 def test_report_missing_file_exits_one(tmp_path):

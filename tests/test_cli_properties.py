@@ -45,30 +45,35 @@ def _main(argv: list[str]) -> tuple[int, str, str]:
 # --- metamorphic relations on the demo -------------------------------------------
 
 
-def _demo_run(data: bytes, mode: str | None) -> tuple:
+def _demo_run(command: str, data: bytes, mode: str | None) -> tuple:
     """Exit code, verdict table and deterministic results/POA&M bytes of a
-    demo run on `data`."""
+    demo `run` (both phases) or `enforce --out` (training phase) on `data`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_bytes(data)
-        argv = [
-            "run", "credit-scoring", str(SCENARIO_A_PLAN), "--data", str(path),
-            "--target", "class:good", "--group", "gender", "--prediction", "prediction:good",
-            "--vault", str(Path(tmp) / "vault"), "--deterministic",
-        ]
+        out_dir = Path(tmp) / "out"
+        if command == "run":
+            argv = ["run", "credit-scoring", str(SCENARIO_A_PLAN), "--data", str(path),
+                    "--vault", str(out_dir)]
+            out_dir = out_dir / "runs" / "credit-scoring"
+        else:
+            argv = ["enforce", str(SCENARIO_A_PLAN), str(path), "--out", str(out_dir),
+                    "--phase", "training"]
+        argv += ["--target", "class:good", "--group", "gender", "--prediction",
+                 "prediction:good", "--deterministic"]
         code, out, _ = _main(argv + (["--mode-override", mode] if mode else []))
-        run_dir = Path(tmp) / "vault" / "runs" / "credit-scoring"
         documents = {
-            name: (run_dir / name).read_bytes()
+            name: (out_dir / name).read_bytes()
             for name in (RESULTS, POAM)
-            if (run_dir / name).exists()
+            if (out_dir / name).exists()
         }
-    return code, out.partition("vault: ")[0], documents
+    # what follows the verdict table names the temporary directory
+    return code, out.partition("vault: ")[0].partition("wrote ")[0], documents
 
 
 @functools.cache
-def _demo_reference(mode: str | None) -> tuple:
-    return _demo_run(SCENARIO_A_DATA.read_bytes(), mode)
+def _demo_reference(command: str, mode: str | None) -> tuple:
+    return _demo_run(command, SCENARIO_A_DATA.read_bytes(), mode)
 
 
 #: Columns no demo control reads, each a function of the row number.
@@ -99,9 +104,11 @@ def demo_variants(draw) -> bytes:
 
 
 @settings(max_examples=20, deadline=None)
-@given(demo_variants(), st.sampled_from([None, "warn"]))
-def test_run_output_ignores_unread_columns_column_order_and_repeated_rows(data, mode):
-    assert _demo_run(data, mode) == _demo_reference(mode)
+@given(st.sampled_from(["run", "enforce"]), demo_variants(), st.sampled_from([None, "warn"]))
+def test_run_output_ignores_unread_columns_column_order_and_repeated_rows(command, data, mode):
+    reference = _demo_reference(command, mode)
+    assert POAM in reference[2]  # both documents are compared
+    assert _demo_run(command, data, mode) == reference
 
 
 # --- the exit-code contract under drawn flags and files ---------------------------

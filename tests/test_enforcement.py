@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+from datetime import timedelta
+
 import pytest
 
 from conftest import (
@@ -450,34 +453,9 @@ def test_trace_chain_policy_only_does_not_fabricate_links():
 # --- structural validator negatives ---------------------------------------------------
 
 
-def test_validator_flags_dangling_observation_reference(
-    scenario_a_plan, scenario_a_ctx, registry
-):
-    import dataclasses
-
-    report = enforce_phase(
-        scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry
-    )
-    results = report.assessment_results
-    block = results.results[0]
-    bad_finding = dataclasses.replace(
-        block.findings[0], related_observation_uuids=("not-a-real-uuid",)
-    )
-    bad_block = dataclasses.replace(
-        block, findings=(bad_finding,) + block.findings[1:]
-    )
-    bad_results = dataclasses.replace(results, results=(bad_block,))
-    violations = validate_document_structure(bad_results)
-    assert len(violations) == 1
-    assert violations[0].path == "results[0].findings[0]"
-    assert violations[0].rule == "reference-missing"
-
-
 def test_validator_flags_duplicate_poam_items_for_one_risk(
     scenario_a_plan, scenario_a_ctx, registry
 ):
-    import dataclasses
-
     report = enforce_phase(
         scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry
     )
@@ -491,8 +469,6 @@ def test_validator_flags_duplicate_poam_items_for_one_risk(
 def test_validator_flags_open_risk_without_poam_item(
     scenario_a_plan, scenario_a_ctx, registry
 ):
-    import dataclasses
-
     report = enforce_phase(
         scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry
     )
@@ -501,3 +477,75 @@ def test_validator_flags_open_risk_without_poam_item(
         empty_poam, results=report.assessment_results
     )
     assert [v.rule for v in violations] == ["poam-cardinality"]
+
+
+def _edit_block(results, **changes):
+    """The results with their one result block changed."""
+    (block,) = results.results
+    return dataclasses.replace(results, results=(dataclasses.replace(block, **changes),))
+
+
+def _edit_first(items, **changes):
+    return (dataclasses.replace(items[0], **changes),) + items[1:]
+
+
+def _with_risk_linked_to(results, status, state):
+    """The results with their risk set to status and its finding to state."""
+    (block,) = results.results
+    (risk,) = block.risks
+    findings = tuple(
+        dataclasses.replace(f, status=state) if f.uuid == risk.linked_finding_uuid else f
+        for f in block.findings
+    )
+    risks = (dataclasses.replace(risk, status=status),)
+    return _edit_block(results, findings=findings, risks=risks)
+
+
+BROKEN_DOCUMENTS = {
+    "end-before-start": (
+        lambda r, p: _edit_block(r, end=r.results[0].start - timedelta(milliseconds=1)),
+        [("time-order", "results[0]")],
+    ),
+    "nan-value-without-remark": (
+        lambda r, p: _edit_block(r, observations=_edit_first(
+            r.results[0].observations, observed_value=float("nan"), remarks=None)),
+        [("value-not-finite", "results[0].observations[0]")],
+    ),
+    "finding-with-unknown-observation": (
+        lambda r, p: _edit_block(r, findings=_edit_first(
+            r.results[0].findings, related_observation_uuids=("not-a-real-uuid",))),
+        [("reference-missing", "results[0].findings[0]")],
+    ),
+    "finding-without-observation": (
+        lambda r, p: _edit_block(r, findings=_edit_first(
+            r.results[0].findings, related_observation_uuids=())),
+        [("reference-missing", "results[0].findings[0]")],
+    ),
+    "risk-without-threshold-facet": (
+        lambda r, p: _edit_block(r, risks=_edit_first(r.results[0].risks, facets=tuple(
+            facet for facet in r.results[0].risks[0].facets if facet[0] != "threshold"))),
+        [("facet-missing", "results[0].risks[0]")],
+    ),
+    "open-risk-on-satisfied-finding": (
+        lambda r, p: _with_risk_linked_to(r, RiskStatus.OPEN, FindingStatus.SATISFIED),
+        [("risk-status", "results[0].risks[0]")],
+    ),
+    "closed-risk-on-satisfied-finding": (
+        lambda r, p: _with_risk_linked_to(r, RiskStatus.CLOSED, FindingStatus.SATISFIED),
+        [],
+    ),
+    "poam-item-without-risk": (
+        lambda r, p: dataclasses.replace(
+            p, poam_items=_edit_first(p.poam_items, related_risk_uuid="")),
+        [("reference-missing", "poam-items[0]")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_DOCUMENTS)
+def test_validator_names_each_rule_and_path(scenario_a_plan, scenario_a_ctx, registry, case):
+    report = enforce_phase(scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry)
+    assert_structurally_valid(report.assessment_results, report.poam)
+    edit, expected = BROKEN_DOCUMENTS[case]
+    document = edit(report.assessment_results, report.poam)
+    assert [(v.rule, v.path) for v in validate_document_structure(document)] == expected

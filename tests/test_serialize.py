@@ -38,8 +38,8 @@ def pre_report(scenario_a_plan, scenario_a_ctx):
 
 def test_same_doc_serialized_twice_deterministically_is_byte_identical(pre_report):
     doc = pre_report.assessment_results
-    first = serialize_canonical(doc, deterministic=True)
-    second = serialize_canonical(doc, deterministic=True)
+    first = serialize_canonical(determinize(doc)[0])
+    second = serialize_canonical(determinize(doc)[0])
     assert first == second
 
 
@@ -53,9 +53,9 @@ def test_two_engine_runs_deterministic_serialization_identical(
     b = enforce_phase(
         scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry
     )
-    assert serialize_canonical(
-        a.assessment_results, deterministic=True
-    ) == serialize_canonical(b.assessment_results, deterministic=True)
+    assert serialize_canonical(determinize(a.assessment_results)[0]) == serialize_canonical(
+        determinize(b.assessment_results)[0]
+    )
 
 
 def test_nondeterministic_runs_differ_in_uuids_not_structure(
@@ -111,7 +111,7 @@ def test_poam_without_its_results_uuid_map_fails_closed(scenario_a_plan, scenari
         for _ in range(2)
     ]
     with pytest.raises(SerializationFailure, match="reference_map"):
-        serialize_canonical(reports[0].poam, deterministic=True)
+        determinize(reports[0].poam)
     paired = []
     for report in reports:
         _, mapping = determinize(report.assessment_results)
@@ -141,8 +141,8 @@ def test_poam_round_trip_through_canonical_json(pre_report):
 
 
 def test_plan_serializes_deterministically_too(scenario_a_plan):
-    first = serialize_canonical(scenario_a_plan, deterministic=True)
-    second = serialize_canonical(scenario_a_plan, deterministic=True)
+    first = serialize_canonical(determinize(scenario_a_plan)[0])
+    second = serialize_canonical(determinize(scenario_a_plan)[0])
     assert first == second
     rebuilt = json.loads(first)
     assert rebuilt["assessment-plan"]["uuid"] != scenario_a_plan.uuid
