@@ -486,8 +486,7 @@ def cmd_trace(args) -> int:
         return EXIT_ERROR
 
     chain = trace_chain(spec, labels)
-    top_down = list(reversed(chain.links()))
-    for kind, identifier in top_down:
+    for kind, identifier in reversed(chain.links):
         label = chain.resolved_labels.get(identifier)
         suffix = f"  {label}" if label else ""
         print(f"{kind:<10} {identifier}{suffix}")

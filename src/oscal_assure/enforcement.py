@@ -65,7 +65,6 @@ class VerdictOutcome(str, Enum):
 
 
 class SkipReason(str, Enum):
-    PHASE_MISMATCH = "phase-mismatch"
     WINDOW_NOT_EXECUTABLE = "window-not-executable"
     MANUAL_ATTESTATION_REQUIRED = "manual-attestation-required"
 
@@ -95,29 +94,14 @@ class Verdict:
         return None
 
 
-#: Upward traceability links, nearest first.
-_TRACE_KINDS = ("treatment", "risk", "objective", "policy")
-
-
 @dataclass(frozen=True)
 class TraceChain:
-    """Upward links from a control, in treatment -> risk -> objective ->
-    policy order; absent links are omitted, never fabricated."""
+    """Upward (kind, id) links from a control, in treatment -> risk ->
+    objective -> policy order; absent links are omitted, never fabricated."""
 
     control_id: str
-    treatment_id: str | None = None
-    risk_id: str | None = None
-    objective_id: str | None = None
-    policy_id: str | None = None
+    links: tuple[tuple[str, str], ...] = ()
     resolved_labels: dict[str, str] = dataclasses.field(default_factory=dict)
-
-    def links(self) -> list[tuple[str, str]]:
-        chain = []
-        for kind in _TRACE_KINDS:
-            value = getattr(self, f"{kind}_id")
-            if value is not None:
-                chain.append((kind, value))
-        return chain
 
 
 @dataclass(frozen=True)
@@ -126,7 +110,12 @@ class PhaseReport:
     verdicts: tuple[Verdict, ...]
     assessment_results: AssessmentResults
     poam: PoamDocument | None
-    blocked: bool
+
+    @property
+    def blocked(self) -> bool:
+        return any(
+            v.enforcement_action_taken is EnforcementAction.BLOCKED for v in self.verdicts
+        )
 
     def raise_if_blocked(self) -> None:
         if self.blocked:
@@ -154,18 +143,9 @@ def compare(value: float, operator: Operator, threshold: float) -> bool:
     return value != threshold
 
 
-def select_controls(
-    plan: AssessmentPlan,
-    phase: LifecyclePhase,
-    target_type: TargetType | None = None,
-) -> list[ControlSpec]:
+def select_controls(plan: AssessmentPlan, phase: LifecyclePhase) -> list[ControlSpec]:
     """Controls whose phases contain `phase`, in plan order."""
-    return [
-        spec
-        for spec in plan.controls
-        if phase in spec.lifecycle_phases
-        and (target_type is None or spec.target_type is target_type)
-    ]
+    return [spec for spec in plan.controls if phase in spec.lifecycle_phases]
 
 
 def control_context(spec: ControlSpec, ctx: MetricContext) -> MetricContext:
@@ -178,11 +158,9 @@ def control_context(spec: ControlSpec, ctx: MetricContext) -> MetricContext:
     )
 
 
-def skip_reason(spec: ControlSpec, phase: LifecyclePhase | None = None) -> SkipReason | None:
-    """Why enforcement skips this control in phase (None: in any of its
-    phases), or None when it computes the control's metric."""
-    if phase is not None and phase not in spec.lifecycle_phases:
-        return SkipReason.PHASE_MISMATCH
+def skip_reason(spec: ControlSpec) -> SkipReason | None:
+    """Why enforcement skips this control, or None when it computes the
+    control's metric."""
     if spec.evaluation_method is not EvaluationMethod.AUTOMATED:
         return SkipReason.MANUAL_ATTESTATION_REQUIRED
     if spec.evaluation_window is not EvaluationWindow.PER_RUN:
@@ -339,11 +317,10 @@ def _evaluate_strata(
     outcome or the error it raised. A stratification that fails or yields
     no stratum is one unlabelled stratum whose evaluation failed, so the
     phase goes on and the control cannot pass on no evidence. Built-in
-    metrics read strata of the joint count; others get stratified tables."""
+    metrics read strata of ctx.joint when it is set; otherwise each stratum
+    is a stratified table."""
     if not _reads_joint_count(spec, registry):
         ctx = dataclasses.replace(ctx, joint=None)
-    elif ctx.joint is None:
-        ctx = _with_joint_count([spec], ctx, registry)
     if spec.stratify_by is None:
         strata = [(None, ctx)]
     else:
@@ -372,13 +349,12 @@ def evaluate_control(
     spec: ControlSpec,
     ctx: MetricContext,
     registry: MetricRegistry,
-    phase: LifecyclePhase | None = None,
     mode_override: EnforcementMode | None = None,
 ) -> Verdict:
     """Evaluate one control: the metric runs once per stratum when
     stratify_by is set, manual/hybrid and non-per-run controls are skipped,
     and evaluation errors fail closed (not-satisfied + evaluation-error)."""
-    reason = skip_reason(spec, phase)
+    reason = skip_reason(spec)
     if reason is not None:
         return _skip_verdict(spec, reason)
 
@@ -474,7 +450,7 @@ def enforce_phase(
     """Evaluate all controls selected for a phase, in plan order.
 
     A block-mode failure does not stop evaluation of the remaining
-    controls (complete evidence); the report carries blocked=True and the
+    controls (complete evidence); the report is then blocked and the
     caller aborts at the process boundary after the phase.
     """
     unbound = unbound_controls(plan, phase, ctx, registry)
@@ -490,7 +466,7 @@ def enforce_phase(
 
     start = utc_now()
     verdicts = tuple(
-        evaluate_control(spec, ctx, registry, phase, mode_override) for spec in selected
+        evaluate_control(spec, ctx, registry, mode_override) for spec in selected
     )
     end = utc_now()
 
@@ -515,16 +491,7 @@ def enforce_phase(
         results=(block,),
     )
     poam = generate_poam(results, plan) if risks else None
-    blocked = any(
-        v.enforcement_action_taken is EnforcementAction.BLOCKED for v in verdicts
-    )
-    return PhaseReport(
-        phase=phase,
-        verdicts=verdicts,
-        assessment_results=results,
-        poam=poam,
-        blocked=blocked,
-    )
+    return PhaseReport(phase=phase, verdicts=verdicts, assessment_results=results, poam=poam)
 
 
 def generate_poam(results: AssessmentResults, plan: AssessmentPlan) -> PoamDocument:
@@ -598,10 +565,15 @@ def trace_chain(
 ) -> TraceChain:
     """Assemble the traceability chain from the control's optional id
     fields, resolving labels from a side-loaded id->label registry."""
-    ids = {f"{kind}_id": getattr(spec, f"{kind}_id") for kind in _TRACE_KINDS}
+    links = tuple(
+        (kind, value)
+        for kind, value in (("treatment", spec.treatment_id), ("risk", spec.risk_id),
+                            ("objective", spec.objective_id), ("policy", spec.policy_id))
+        if value is not None
+    )
     labels = labels or {}
     return TraceChain(
         control_id=spec.control_id,
-        resolved_labels={value: labels[value] for value in ids.values() if value in labels},
-        **ids,
+        links=links,
+        resolved_labels={value: labels[value] for _, value in links if value in labels},
     )

@@ -70,14 +70,11 @@ class EnvFingerprint:
 class BomComponent:
     name: str
     version: str
-    origin: str = "lockfile"
 
 
 @dataclass(frozen=True)
 class DependencyBom:
     components: tuple[BomComponent, ...]
-    source_path: str
-    format_label: str = "CycloneDX-1.5-subset"
 
 
 @dataclass
@@ -93,7 +90,6 @@ class RunSession:
     artifacts: list[ArtifactRecord] = field(default_factory=list)
     environment: EnvFingerprint | None = None
     bom: DependencyBom | None = None
-    handshake: bool = False
     closed: bool = False
 
     def _check_open(self) -> None:
@@ -232,25 +228,6 @@ def verify_artifact_records(records: list[ArtifactRecord]) -> list[str]:
     return failed
 
 
-def canonical_environment_bytes(
-    os_name: str,
-    os_version: str,
-    architecture: str,
-    logical_cpus: int,
-    runtime_identifiers: dict[str, str],
-) -> bytes:
-    """Canonical serialization the fingerprint digest is computed over:
-    compact JSON, sorted keys, UTF-8."""
-    payload = {
-        "architecture": architecture,
-        "logical_cpus": logical_cpus,
-        "os_name": os_name,
-        "os_version": os_version,
-        "runtime_identifiers": dict(sorted(runtime_identifiers.items())),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def make_fingerprint(
     os_name: str,
     os_version: str,
@@ -258,19 +235,17 @@ def make_fingerprint(
     logical_cpus: int,
     runtime_identifiers: dict[str, str],
 ) -> EnvFingerprint:
-    digest = hashlib.sha256(
-        canonical_environment_bytes(
-            os_name, os_version, architecture, logical_cpus, runtime_identifiers
-        )
-    ).hexdigest()
-    return EnvFingerprint(
-        os_name=os_name,
-        os_version=os_version,
-        architecture=architecture,
-        logical_cpus=logical_cpus,
-        runtime_identifiers=dict(sorted(runtime_identifiers.items())),
-        fingerprint_digest=digest,
-    )
+    """The fingerprint of these fields; its digest is the SHA-256 of the
+    fields as compact JSON with sorted keys, in UTF-8."""
+    fields = {
+        "os_name": os_name,
+        "os_version": os_version,
+        "architecture": architecture,
+        "logical_cpus": logical_cpus,
+        "runtime_identifiers": dict(sorted(runtime_identifiers.items())),
+    }
+    preimage = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return EnvFingerprint(**fields, fingerprint_digest=hashlib.sha256(preimage).hexdigest())
 
 
 def capture_environment(session: RunSession) -> EnvFingerprint:
@@ -326,8 +301,7 @@ def ingest_dependency_manifest(session: RunSession, path: str | os.PathLike) -> 
     bom = DependencyBom(
         components=tuple(
             BomComponent(name=name, version=version) for name, version in sorted(pairs)
-        ),
-        source_path=str(source),
+        )
     )
     session.bom = bom
     return bom
@@ -373,8 +347,8 @@ def write_files(directory: Path, files: Iterable[tuple[str, bytes]]) -> list[str
     return [target.name for _, target in staged]
 
 
-def _vault_files(session: RunSession, phase_reports: list[PhaseReport], deterministic: bool,
-                 seed_namespace: str | None) -> Iterator[tuple[str, bytes]]:
+def _vault_files(session: RunSession, phase_reports: list[PhaseReport], handshake_ok: bool,
+                 deterministic: bool, seed_namespace: str | None) -> Iterator[tuple[str, bytes]]:
     """The run directory's files in order, each serialized only when it is
     asked for."""
     results, poam = combine_reports(list(phase_reports))
@@ -393,7 +367,7 @@ def _vault_files(session: RunSession, phase_reports: list[PhaseReport], determin
     if session.bom is not None:
         yield "bom.json", canonical_json_bytes(bom_to_dict(session.bom))
     yield "handshake.json", canonical_json_bytes({
-        "handshake_ok": session.handshake,
+        "handshake_ok": handshake_ok,
         "phase_count": len(phase_reports),
         "run_id": session.run_id,
         "started_at": format_timestamp(session.started_at),
@@ -413,12 +387,10 @@ def finalize_session(
     attached (enforce ran within the session)."""
     session._check_open()
     session.finished_at = utc_now()
-    session.handshake = len(phase_reports) >= 1
+    handshake_ok = len(phase_reports) >= 1
     written = write_files(
         session.run_dir,
-        _vault_files(session, phase_reports, deterministic, seed_namespace),
+        _vault_files(session, phase_reports, handshake_ok, deterministic, seed_namespace),
     )
     session.closed = True
-    return EvidenceBundle(
-        session=session, handshake_ok=session.handshake, written_files=tuple(written)
-    )
+    return EvidenceBundle(session=session, handshake_ok=handshake_ok, written_files=tuple(written))

@@ -39,7 +39,6 @@ class MetricOutcome:
     value: float
     per_group: dict[str, float] | None = None
     excluded_rows: int = 0
-    detail: dict[str, str] | None = None
 
 
 MetricFunction = Callable[[MetricContext], MetricOutcome]
@@ -49,7 +48,6 @@ MetricFunction = Callable[[MetricContext], MetricOutcome]
 class RegistryEntry:
     fn: MetricFunction
     required_roles: frozenset[str]
-    description: str
 
 
 class MetricRegistry:
@@ -60,11 +58,10 @@ class MetricRegistry:
         self._entries: dict[str, RegistryEntry] = {}
 
     def register(self, key: str, fn: MetricFunction,
-                 required_roles: set[str] | frozenset[str] = frozenset(),
-                 description: str = "") -> None:
+                 required_roles: set[str] | frozenset[str] = frozenset()) -> None:
         if key in self._entries:
             raise DuplicateKey(f"metric key {key!r} is already registered")
-        self._entries[key] = RegistryEntry(fn, frozenset(required_roles), description)
+        self._entries[key] = RegistryEntry(fn, frozenset(required_roles))
 
     def keys(self) -> list[str]:
         return sorted(self._entries)
@@ -174,7 +171,9 @@ def _subject(ctx: MetricContext) -> tuple[str, str]:
 
 
 def _group_column(ctx: MetricContext) -> str:
-    name = ctx.params.get("group") or _bindings(ctx).group
+    name = ctx.params.get("group")
+    if name is None:  # "" overrides too, as role_bound reads it
+        name = _bindings(ctx).group
     if name is None:
         raise MissingRole("group column is not bound")
     return _column(ctx, name)
@@ -225,9 +224,8 @@ def class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     low, high = min(totals.values()), max(totals.values())
     if high == 0:
         raise NotComputable("all class masses are zero")
-    detail = {f"count:{label}": repr(total) for label, total in sorted(totals.items())}
     value = _finite(low / high, "class imbalance ratio")
-    return MetricOutcome(value=value, excluded_rows=excluded, detail=detail)
+    return MetricOutcome(value=value, excluded_rows=excluded)
 
 
 def group_positive_rates(ctx: MetricContext) -> MetricOutcome:
@@ -248,13 +246,8 @@ def group_positive_rates(ctx: MetricContext) -> MetricOutcome:
         per_group[label] = _finite(
             math.fsum(cells.get((label, positive), [])) / total, f"rate of group {label!r}"
         )
-    max_group = max(per_group, key=lambda k: (per_group[k], k))
-    min_group = min(per_group, key=lambda k: (per_group[k], k))
     return MetricOutcome(
-        value=per_group[max_group],
-        per_group=per_group,
-        excluded_rows=excluded,
-        detail={"max-group": max_group, "min-group": min_group},
+        value=max(per_group.values()), per_group=per_group, excluded_rows=excluded
     )
 
 
@@ -272,28 +265,23 @@ def disparate_impact(ctx: MetricContext) -> MetricOutcome:
             raise NotComputable(
                 f"privileged group {privileged!r} not present; saw {sorted(per_group)}"
             )
-        others = {k: v for k, v in per_group.items() if k != privileged}
+        others = [rate for label, rate in per_group.items() if label != privileged]
         if not others:
             raise NotComputable("no unprivileged group present")
-        denominator = per_group[privileged]
-        numerator_group = min(others, key=lambda k: (others[k], k))
-        numerator = others[numerator_group]
-        detail = {"privileged": privileged, "min-group": numerator_group}
+        numerator, denominator = min(others), per_group[privileged]
     else:
-        detail = dict(rates.detail or {})
-        numerator = per_group[detail["min-group"]]
-        denominator = per_group[detail["max-group"]]
+        numerator, denominator = min(per_group.values()), max(per_group.values())
     if denominator == 0:
         raise NotComputable("highest group positive rate is zero")
     value = _finite(numerator / denominator, "disparate impact")
-    return replace(rates, value=value, detail=detail)
+    return replace(rates, value=value)
 
 
 def demographic_parity_difference(ctx: MetricContext) -> MetricOutcome:
     """Largest gap between group positive rates."""
     rates = group_positive_rates(ctx)
-    per_group, detail = rates.per_group or {}, rates.detail or {}
-    gap = per_group[detail["max-group"]] - per_group[detail["min-group"]]
+    values = (rates.per_group or {}).values()
+    gap = max(values) - min(values)
     return replace(rates, value=_finite(gap, "demographic parity difference"))
 
 
@@ -383,31 +371,27 @@ def group_reweight(ctx: MetricContext) -> list[float]:
     ]
 
 
-#: The built-in metrics: key, function, roles read, description.
+#: The built-in metrics: key, function, roles read.
 _BUILTINS = (
-    ("class_imbalance_ratio", class_imbalance_ratio, {"target"},
-     "minority/majority class mass on the target column"),
-    ("group_positive_rates", group_positive_rates, {"subject", "group"},
-     "positive-label fraction per group (value = max rate)"),
-    ("disparate_impact", disparate_impact, {"subject", "group"},
-     "min over max group positive rate"),
-    ("demographic_parity_difference", demographic_parity_difference,
-     {"subject", "group"}, "max minus min group positive rate"),
-    ("accuracy", accuracy, {"target", "prediction"}, "(TP+TN)/N"),
-    ("sensitivity", sensitivity, {"target", "prediction"}, "TP/(TP+FN)"),
-    ("specificity", specificity, {"target", "prediction"}, "TN/(TN+FP)"),
-    ("dice", dice, {"target", "prediction"}, "2TP/(2TP+FP+FN)"),
+    ("class_imbalance_ratio", class_imbalance_ratio, {"target"}),
+    ("group_positive_rates", group_positive_rates, {"subject", "group"}),
+    ("disparate_impact", disparate_impact, {"subject", "group"}),
+    ("demographic_parity_difference", demographic_parity_difference, {"subject", "group"}),
+    ("accuracy", accuracy, {"target", "prediction"}),
+    ("sensitivity", sensitivity, {"target", "prediction"}),
+    ("specificity", specificity, {"target", "prediction"}),
+    ("dice", dice, {"target", "prediction"}),
 )
 
 
 def is_builtin(fn: MetricFunction) -> bool:
     """Whether fn is a built-in metric, which reads ctx.joint when set."""
-    return any(fn is builtin for _, builtin, _, _ in _BUILTINS)
+    return any(fn is builtin for _, builtin, _ in _BUILTINS)
 
 
 def default_registry() -> MetricRegistry:
     """Fresh registry with the built-in metric set."""
     registry = MetricRegistry()
-    for key, fn, roles, description in _BUILTINS:
-        registry.register(key, fn, roles, description)
+    for key, fn, roles in _BUILTINS:
+        registry.register(key, fn, roles)
     return registry

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import operator
+import sys
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
@@ -130,7 +130,7 @@ _DRAIN_CHARS = 1 << 16
 
 
 def _read_fields(
-    text: io.TextIOBase, has_header: bool, columns: Collection[str] | None
+    text: io.TextIOBase, columns: Collection[str] | None
 ) -> tuple[list[str], list[list[str]], list[dict[str, str]], int]:
     """Header names, then the raw fields of each kept column with each
     column's distinct fields, and the row count. Raises DataError for an
@@ -140,11 +140,7 @@ def _read_fields(
         first = next(reader, None)
         if first is None:
             raise EmptyInput("no header row in input")
-        if has_header:
-            header, rows = [name.strip() for name in first], reader
-        else:
-            header = [f"col{i + 1}" for i in range(len(first))]
-            rows = itertools.chain([first], reader)
+        header = [name.strip() for name in first]
         keep = [i for i, name in enumerate(header) if columns is None or name in columns]
         # Each record's kept fields go straight into their columns, each one
         # as the one str object of its distinct field in that column: no
@@ -156,7 +152,7 @@ def _read_fields(
             for i, raw, fields in zip(keep, raw_columns, distinct)
         ]
         row_count = 0
-        for row in rows:
+        for row in reader:
             if len(row) != len(header):
                 raise RaggedRows(
                     f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
@@ -185,11 +181,7 @@ def _undecodable(stream: BinaryIO, exc: UnicodeDecodeError) -> UndecodableBytes:
     return UndecodableBytes(f"input is not valid UTF-8: {exc}")
 
 
-def load_table(
-    source: bytes | BinaryIO,
-    has_header: bool = True,
-    columns: Collection[str] | None = None,
-) -> DataTable:
+def load_table(source: bytes | BinaryIO, columns: Collection[str] | None = None) -> DataTable:
     """Load RFC 4180 CSV, as bytes or a binary stream, into a typed table.
 
     A stream is read once, from its start to its end, and decoded as it is
@@ -208,7 +200,7 @@ def load_table(
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
         try:
-            names, raw_columns, distinct, row_count = _read_fields(text, has_header, columns)
+            names, raw_columns, distinct, row_count = _read_fields(text, columns)
         except DataError:
             # read on: an undecodable byte later in the input wins
             while text.read(_DRAIN_CHARS):
@@ -301,9 +293,10 @@ def bind_roles(
                 raise NegativeWeight(
                     f"weight column {weight!r} row {i + 1}: non-numeric value {value!r}"
                 )
-            if not value >= 0:
+            if not 0 <= value <= sys.float_info.max:  # also NaN, and an int no float holds
                 raise NegativeWeight(
-                    f"weight column {weight!r} row {i + 1}: value {value!r} is not >= 0"
+                    f"weight column {weight!r} row {i + 1}: value {value!r} is not a "
+                    "finite number >= 0"
                 )
 
     return RoleBindings(

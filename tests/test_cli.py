@@ -134,6 +134,21 @@ def test_enforce_explicit_phase_flag_wins(tmp_path, capsys):
     assert "phase: training" in capsys.readouterr().out
 
 
+def test_enforce_empty_group_override_fails_closed_not_on_the_bound_group(tmp_path, capsys):
+    # "group=" names the column "", not --group: auditing gender instead of
+    # age would pass a control whose own attribute fails
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(SCENARIO_A_PLAN.read_text().replace('"group=age_group"', '"group="'))
+    args = enforce_args(tmp_path / "out")
+    args[1] = str(plan)
+    assert main(args) == 2
+    out = capsys.readouterr().out
+    row = next(line for line in out.splitlines() if line.startswith("credit-age-di"))
+    assert row.split()[2:] == ["-", "gt", "0.500", "FAIL", "blocked"]
+    results = (tmp_path / "out" / "assessment-results.oscal.json").read_text()
+    assert "evaluation-error: column '' not in table" in results
+
+
 def test_enforce_mode_override_monitor_exits_zero_with_same_findings(tmp_path, capsys):
     blocked_dir = tmp_path / "blocked"
     monitored_dir = tmp_path / "monitored"

@@ -106,17 +106,6 @@ def test_incident_query_on_training_only_plan_is_empty():
     assert select_controls(plan, LifecyclePhase.INCIDENT) == []
 
 
-def test_scenario_a_training_selects_three_dataset_controls(scenario_a_plan):
-    selected = select_controls(
-        scenario_a_plan, LifecyclePhase.TRAINING, TargetType.DATASET
-    )
-    assert [spec.control_id for spec in selected] == [
-        "credit-class-imbalance",
-        "credit-gender-di",
-        "credit-age-di",
-    ]
-
-
 # --- evaluate_control -----------------------------------------------------------
 
 
@@ -165,20 +154,9 @@ def test_manual_and_hybrid_controls_skip_without_value_or_risk(
 )
 def test_non_per_run_window_is_skipped(small_ctx, registry, window):
     spec = make_control("w1", evaluation_window=window)
-    verdict = evaluate_control(
-        spec, small_ctx, registry, phase=LifecyclePhase.TRAINING
-    )
+    verdict = evaluate_control(spec, small_ctx, registry)
     assert verdict.outcome is VerdictOutcome.SKIPPED
     assert verdict.skip_reason is SkipReason.WINDOW_NOT_EXECUTABLE
-
-
-def test_phase_mismatch_skip(small_ctx, registry):
-    spec = make_control("p1")  # training-only by default
-    verdict = evaluate_control(
-        spec, small_ctx, registry, phase=LifecyclePhase.VALIDATION
-    )
-    assert verdict.outcome is VerdictOutcome.SKIPPED
-    assert verdict.skip_reason is SkipReason.PHASE_MISMATCH
 
 
 def test_unknown_metric_is_a_not_satisfied_evaluation_error(small_ctx, registry):
@@ -434,20 +412,20 @@ def test_trace_chain_resolves_labels(scenario_a_plan):
         "R-042": "gender discrimination in credit approval",
     }
     chain = trace_chain(scenario_a_plan.control("credit-gender-di"), labels)
-    assert chain.links()[:2] == [("treatment", "T-017"), ("risk", "R-042")]
+    assert chain.links[:2] == (("treatment", "T-017"), ("risk", "R-042"))
     assert chain.resolved_labels["T-017"] == "apply group-aware reweighting"
     assert chain.resolved_labels["R-042"] == "gender discrimination in credit approval"
 
 
 def test_trace_chain_empty_without_ids():
     chain = trace_chain(make_control("bare"))
-    assert chain.links() == []
+    assert chain.links == ()
     assert chain.resolved_labels == {}
 
 
 def test_trace_chain_policy_only_does_not_fabricate_links():
     chain = trace_chain(make_control("p-only", policy_id="P-9"))
-    assert chain.links() == [("policy", "P-9")]
+    assert chain.links == (("policy", "P-9"),)
 
 
 # --- structural validator negatives ---------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -7,6 +8,8 @@ import io
 import math
 import operator
 import random
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -40,6 +43,7 @@ from oscal_assure import (
     serialize_canonical,
 )
 from oscal_assure import metrics
+from oscal_assure.cli import main
 from oscal_assure.enforcement import EnforcementAction, VerdictOutcome
 from oscal_assure.errors import (
     DataError,
@@ -342,11 +346,9 @@ def _reference_class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     low, high = min(totals.values()), max(totals.values())
     if high == 0:
         raise NotComputable("all class masses are zero")
-    detail = {f"count:{label}": repr(total) for label, total in sorted(totals.items())}
     return MetricOutcome(
         value=metrics._finite(low / high, "class imbalance ratio"),
         excluded_rows=excluded,
-        detail=detail,
     )
 
 
@@ -380,12 +382,10 @@ def _reference_group_positive_rates(ctx: MetricContext) -> MetricOutcome:
             math.fsum(positive_mass.get(label, [])) / total, f"rate of group {label!r}"
         )
     max_group = max(per_group, key=lambda k: (per_group[k], k))
-    min_group = min(per_group, key=lambda k: (per_group[k], k))
     return MetricOutcome(
         value=per_group[max_group],
         per_group=per_group,
         excluded_rows=excluded,
-        detail={"max-group": max_group, "min-group": min_group},
     )
 
 
@@ -788,6 +788,138 @@ def test_enforce_phase_matches_the_per_row_oracle(ctx, drafts, data):
             assert _deterministic_bytes(again) == output
 
 
+# --- the command line against the same oracle ---------------------------------------
+# `enforce --phase P` and `run` read the plan and the table from files and
+# must print the oracle's verdict rows, one table per phase evaluated, and
+# exit with the code those rows imply: 1 when a selected control needs a
+# role that no flag binds, else 2 when a control blocks, else 0.
+
+#: Roles each built-in metric reads; "subject" is the side a control evaluates.
+ORACLE_ROLES = {
+    "class_imbalance_ratio": {"target"},
+    "group_positive_rates": {"subject", "group"},
+    "disparate_impact": {"subject", "group"},
+    "demographic_parity_difference": {"subject", "group"},
+    **{key: {"target", "prediction"} for key in ("accuracy", "sensitivity", "specificity", "dice")},
+}
+
+
+def _runnable(spec: ControlSpec, bound: set[str]) -> bool:
+    """Whether the control is skipped, or every role it reads is bound."""
+    if (spec.evaluation_method is not EvaluationMethod.AUTOMATED
+            or spec.evaluation_window is not EvaluationWindow.PER_RUN):
+        return True
+    subject = "prediction" if spec.target_type is TargetType.MODEL else "target"
+    roles = {subject if role == "subject" else role for role in ORACLE_ROLES[spec.metric_key]}
+    return roles <= bound | ({"group"} if "group" in spec.metric_params else set())
+
+
+def _printed_row(spec: ControlSpec, verdict: tuple) -> list[str]:
+    """The fields of a verdict's row in the printed table."""
+    control_id, outcome, reason, action, observations = verdict
+    values = [float(value) for _, value, *_ in observations if value != "None"]
+    result = {"satisfied": "PASS", "not-satisfied": "FAIL"}.get(outcome, f"SKIP ({reason})")
+    return [control_id, spec.metric_key, f"{values[0]:.3f}" if values else "-",
+            spec.operator.value, f"{spec.threshold:.3f}", *result.split(), action]
+
+
+def _printed_tables(out: str) -> dict[str, list[list[str]]]:
+    """The rows of each printed verdict table, split into fields, by phase."""
+    tables = {}
+    for block in out.split("phase: ")[1:]:
+        lines = block.splitlines()
+        tables[lines[0]] = [row.split() for row in lines[3:lines.index("")]]
+    return tables
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+#: oracle_controls with built-in metric keys only, as a plan file can name
+builtin_controls = st.builds(
+    dataclasses.replace, oracle_controls, metric_key=st.sampled_from(REGISTRY_METRICS)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    oracle_contexts(),
+    st.lists(builtin_controls, min_size=1, max_size=5),
+    st.sampled_from([True, True, False]),
+    st.sampled_from([True, True, False]),
+    st.data(),
+)
+def test_cli_matches_the_per_row_oracle(ctx, drafts, group, prediction, data):
+    table = load_table(dump_table(ctx.table))  # the table as the command reads it
+    weight = ctx.bindings.weight
+    bindings = bind_roles(
+        table, "y", "1", group="g" if group else None, weight=weight,
+        prediction="p" if prediction else None, prediction_positive="1" if prediction else None,
+    )
+    bound = {"target"} | ({"group"} if group else set()) | ({"prediction"} if prediction else set())
+    with mock.patch.multiple(
+        metrics,
+        class_imbalance_ratio=_reference_class_imbalance_ratio,
+        group_positive_rates=_reference_group_positive_rates,
+        _confusion_counts=_reference_confusion_counts,
+    ):
+        strata = [
+            _reference_strata(draft, MetricContext(table, bindings), default_registry())
+            for draft in drafts
+        ]
+    specs = []
+    for i, (draft, draft_strata) in enumerate(zip(drafts, strata)):
+        seen = [r.value for _, r in draft_strata if not isinstance(r, OscalAssureError)]
+        threshold = data.draw(st.sampled_from([*seen, 0.0, 0.5, 1.0]) | finite_floats)
+        specs.append(dataclasses.replace(draft, control_id=f"c{i}", threshold=threshold))
+    plan = make_plan(specs)
+    mode_override = data.draw(st.sampled_from([None, None, *EnforcementMode]))
+
+    # per phase: whether it can run, its rows, and whether it blocks
+    expected = {}
+    for phase in ORACLE_PHASES:
+        selected = [(spec, s) for spec, s in zip(specs, strata) if phase in spec.lifecycle_phases]
+        verdicts = [_reference_verdict(spec, s, mode_override) for spec, s in selected]
+        expected[phase] = (
+            all(_runnable(spec, bound) for spec, _ in selected),
+            [_printed_row(spec, verdict) for (spec, _), verdict in zip(selected, verdicts)],
+            any(verdict[3] == "blocked" for verdict in verdicts),
+        )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        plan_path, data_path = Path(tmp) / "plan.json", Path(tmp) / "data.csv"
+        plan_path.write_bytes(serialize_canonical(plan))
+        data_path.write_bytes(dump_table(ctx.table))
+        flags = ["--target", "y:1", *(["--group", "g"] if group else []),
+                 *(["--prediction", "p:1"] if prediction else []),
+                 *(["--weight", weight] if weight else []),
+                 *(["--mode-override", mode_override.value] if mode_override else [])]
+        for phase, (runnable, rows, blocked) in expected.items():
+            code, out = _cli(["enforce", str(plan_path), str(data_path), "--phase", phase.value,
+                              "--out", str(Path(tmp) / "out"), *flags])
+            if not runnable:
+                assert (code, out) == (1, "")
+                continue
+            assert code == (2 if blocked else 0)
+            assert _printed_tables(out) == {phase.value: rows}
+
+        # run evaluates each phase present that can run, and stops after one that blocks
+        tables, code = {}, 1
+        for phase in plan.phases_present():
+            runnable, rows, blocked = expected[phase]
+            if runnable:
+                tables[phase.value], code = rows, 2 if blocked else 0
+                if blocked:
+                    break
+        code_run, out = _cli(["run", "r", str(plan_path), "--data", str(data_path),
+                              "--vault", str(Path(tmp) / "vault"), *flags])
+        assert (code_run, _printed_tables(out)) == (code, tables)
+
+
 # --- load_table against the row-list loader ----------------------------------------
 # _reference_load_table is the loader as it was before it streamed records
 # into columns and converted each distinct field once. Names, types, the
@@ -821,7 +953,7 @@ def _reference_infer_column(raw: list[str | None]) -> tuple[ColumnType, tuple[Ce
     return ColumnType.CATEGORICAL, tuple(raw)
 
 
-def _reference_load_table(source: bytes, has_header: bool = True) -> DataTable:
+def _reference_load_table(source: bytes) -> DataTable:
     try:
         text = source.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -832,10 +964,8 @@ def _reference_load_table(source: bytes, has_header: bool = True) -> DataTable:
     header: list[str] | None = None
     for row in reader:
         if header is None:
-            if has_header:
-                header = [name.strip() for name in row]
-                continue
-            header = [f"col{i + 1}" for i in range(len(row))]
+            header = [name.strip() for name in row]
+            continue
         if len(row) != len(header):
             raise RaggedRows(
                 f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
@@ -866,11 +996,11 @@ def _reference_load_table(source: bytes, has_header: bool = True) -> DataTable:
     )
 
 
-def _loaded(load, source: bytes, has_header: bool):
+def _loaded(load, source: bytes):
     """Names, types, repr of every cell and row_count of the loaded table,
     or the type and message of the error the load raised."""
     try:
-        table = load(source, has_header=has_header)
+        table = load(source)
     except Exception as exc:  # compared by type and message
         return f"{type(exc).__name__}: {exc}"
     return (
@@ -893,19 +1023,19 @@ def _sharing(table: DataTable) -> list[list[int]]:
     return pattern
 
 
-#: Names to keep: header names as stripped, generated ones, and absent ones.
-KEPT_NAMES = ["a", "b", "", "d,e", "f\ng", "col1", "col2", "col4", "absent"]
+#: Names to keep: header names as stripped, and absent ones.
+KEPT_NAMES = ["a", "b", "", "d,e", "f\ng", "absent"]
 
 
 @settings(max_examples=500, deadline=None)
-@given(csv_sources() | csv_fuzz, st.booleans(), st.sets(st.sampled_from(KEPT_NAMES)))
-@example(b'a,b\n"x\ny",1\n2\n', True, {"a"})  # ragged row after a multi-line quoted field
-@example(b"\n\n\n", True, set())  # zero-column header, rows still counted
-def test_load_table_matches_the_row_list_loader(source, has_header, columns):
-    full = _loaded(load_table, source, has_header)
-    assert full == _loaded(_reference_load_table, source, has_header)
+@given(csv_sources() | csv_fuzz, st.sets(st.sampled_from(KEPT_NAMES)))
+@example(b'a,b\n"x\ny",1\n2\n', {"a"})  # ragged row after a multi-line quoted field
+@example(b"\n\n\n", set())  # zero-column header, rows still counted
+def test_load_table_matches_the_row_list_loader(source, columns):
+    full = _loaded(load_table, source)
+    assert full == _loaded(_reference_load_table, source)
     # keeping some columns gives the full load cut down to them, or its error
-    projected = _loaded(functools.partial(load_table, columns=columns), source, has_header)
+    projected = _loaded(functools.partial(load_table, columns=columns), source)
     if isinstance(full, str):
         assert projected == full
         return
@@ -915,6 +1045,6 @@ def test_load_table_matches_the_row_list_loader(source, has_header, columns):
         tuple(names[i] for i in keep), tuple(types[i] for i in keep),
         [cells[i] for i in keep], row_count,
     )
-    sharing = _sharing(load_table(source, has_header=has_header))
-    kept = load_table(source, has_header=has_header, columns=columns)
+    sharing = _sharing(load_table(source))
+    kept = load_table(source, columns=columns)
     assert _sharing(kept) == [sharing[i] for i in keep]

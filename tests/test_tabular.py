@@ -179,12 +179,6 @@ def test_quoted_fields_with_commas():
     assert table.column("note") == ("a, quoted", "plain")
 
 
-def test_no_header_generates_column_names():
-    table = load_table(b"1,2\n3,4\n", has_header=False)
-    assert table.column_names == ("col1", "col2")
-    assert table.row_count == 2
-
-
 def test_bind_roles_happy_path():
     table = table_from_rows(["class", "gender"], [["good", "f"], ["bad", "m"]])
     bindings = bind_roles(table, "class", "good", group="gender")
@@ -208,6 +202,16 @@ def test_bind_roles_rejects_negative_weight():
     table = table_from_rows(["y", "w"], [["1", "1.0"], ["0", "-0.5"]])
     with pytest.raises(NegativeWeight):
         bind_roles(table, "y", "1", weight="w")
+
+
+@pytest.mark.parametrize("weight", ["inf", "-inf", "nan", "9" * 400])
+def test_bind_roles_rejects_a_non_finite_weight(weight):
+    # an inf weight used to bind and outweigh the rest of its group: group a
+    # read a positive rate of 0.0, though two of its three rows are positive;
+    # an integer past the largest float crashed the metric's float() instead
+    table = load_table(f"g,y,w\na,1,1\na,0,{weight}\na,1,1\nb,1,1\n".encode())
+    with pytest.raises(NegativeWeight, match=f"row 2: value {table.column('w')[1]!r} is not"):
+        bind_roles(table, "y", "1", group="g", weight="w")
 
 
 def test_all_negative_target_binds():
