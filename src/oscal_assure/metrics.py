@@ -9,15 +9,17 @@ excluded and counted on the outcome.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Callable
 
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
-from .tabular import Cell, DataTable, RoleBindings, cell_token
+from .tabular import DataTable, RoleBindings, cell_token, code_format
 
 
 @dataclass(frozen=True)
@@ -120,32 +122,72 @@ class JointCount:
     cells: dict[tuple[str | None, ...], list]
 
 
+#: Rows whose keys are laid out at a time, so that the keys in memory take
+#: at most 8 bytes per row of one block, however long the table.
+_KEY_ROWS = 1 << 14
+
+
+def _row_keys(
+    columns: list[memoryview], row_count: int
+) -> tuple[Iterable[Hashable], Callable[[Hashable], tuple[int, ...]]]:
+    """A key for each row that stands for its tuple of codes, and the
+    function that turns a key back into the tuple.
+
+    A row's codes are copied byte for byte, side by side, into one
+    fixed-width lane of a buffer, which is then read as one unsigned integer
+    per row: an integer is cheaper to count than a tuple. The lanes are laid
+    out _KEY_ROWS rows at a time. When a row's codes take more than 8 bytes,
+    the keys are the tuples."""
+    # "=": native byte order, and the codes side by side with no padding
+    layout = struct.Struct("=" + "".join(codes.format for codes in columns))
+    if layout.size > 8:
+        return zip(*columns), tuple
+    fmt = code_format(1 << 8 * layout.size)
+    width = struct.calcsize(fmt)
+
+    def block(start: int) -> memoryview:
+        lanes = bytearray(width * min(_KEY_ROWS, row_count - start))
+        at = 0
+        for codes in columns:
+            raw = codes[start : start + _KEY_ROWS].cast("B")
+            for b in range(codes.itemsize):
+                lanes[at + b :: width] = raw[b :: codes.itemsize]
+            at += codes.itemsize
+        return memoryview(lanes).cast(fmt)
+
+    keys = chain.from_iterable(map(block, range(0, row_count, _KEY_ROWS)))
+    return keys, lambda key: layout.unpack_from(key.to_bytes(width, sys.byteorder))
+
+
 def count_rows(table: DataTable, names: Sequence[str], weight: str | None = None) -> JointCount:
-    """One pass over the rows; cell_token runs once per distinct value. The
-    weight stays out of the key because it is often distinct per row."""
-    columns = [table.column(name) for name in names]
-    keys = zip(*columns) if columns else repeat((), table.row_count)
+    """One pass over the rows' codes; cell_token runs once per dictionary
+    entry. The weight stays out of the key because it is often distinct
+    per row."""
+    encodings = [table.encoding(name) for name in names]
+    keys, decode = _row_keys([codes for codes, _ in encodings], table.row_count)
     if weight is None:
-        raw = {key: [n, 0, [n]] for key, n in Counter(keys).items()}
+        raw = {decode(key): [n, 0, [n]] for key, n in Counter(keys).items()}
     else:
-        weights: dict[tuple[Cell, ...], list[Cell]] = {}
-        for key, w in zip(keys, table.column(weight)):
-            weights.setdefault(key, []).append(w)
+        weight_codes, weights = table.encoding(weight)
+        masses_of = [None if w is None else float(w) for w in weights]
+        groups: dict[Hashable, list[float | None]] = {}
+        for key, code in zip(keys, weight_codes):
+            groups.setdefault(key, []).append(masses_of[code])
         raw = {}
-        for key, ws in weights.items():
-            masses = [float(w) for w in ws if w is not None]
-            raw[key] = [len(ws), len(ws) - len(masses), masses]
-    memos: list[dict[Cell, str | None]] = [{None: None} for _ in columns]
+        for key, ws in groups.items():
+            masses = [w for w in ws if w is not None]
+            raw[decode(key)] = [len(ws), len(ws) - len(masses), masses]
+    tokens = [
+        [None if cell is None else cell_token(cell) for cell in dictionary]
+        for _, dictionary in encodings
+    ]
     cells: dict[tuple[str | None, ...], list] = {}
     for key, cell in raw.items():
-        tokens = tuple(
-            memo[v] if v in memo else memo.setdefault(v, cell_token(v))
-            for memo, v in zip(memos, key)
-        )
+        labels = tuple(map(list.__getitem__, tokens, key))
         # values that share a token (None aside) are one cell
-        if tokens in cells:
-            cell = [a + b for a, b in zip(cells[tokens], cell)]
-        cells[tokens] = cell
+        if labels in cells:
+            cell = [a + b for a, b in zip(cells[labels], cell)]
+        cells[labels] = cell
     return JointCount(tuple(names), cells)
 
 
@@ -177,6 +219,14 @@ def _group_column(ctx: MetricContext) -> str:
     if name is None:
         raise MissingRole("group column is not bound")
     return _column(ctx, name)
+
+
+def _total(parts: list[float], what: str) -> float:
+    """math.fsum of parts; a sum past the largest float is NotComputable."""
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        raise NotComputable(f"{what} overflows a float") from None
 
 
 def _finite(value: float, what: str) -> float:
@@ -216,7 +266,7 @@ def _crosstab(
 def class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     """Minority class mass over majority class mass on the target column."""
     cells, excluded = _crosstab(ctx, (_column(ctx, _bindings(ctx).target),))
-    totals = {label: math.fsum(parts) for (label,), parts in cells.items()}
+    totals = {label: _total(parts, f"mass of class {label!r}") for (label,), parts in cells.items()}
     if len(totals) < 2:
         raise NotComputable(
             f"class imbalance needs both classes present, saw {sorted(totals) or 'none'}"
@@ -240,11 +290,12 @@ def group_positive_rates(ctx: MetricContext) -> MetricOutcome:
 
     per_group: dict[str, float] = {}
     for label in sorted(mass):
-        total = math.fsum(mass[label])
+        total = _total(mass[label], f"mass of group {label!r}")
         if total == 0:
             raise NotComputable(f"group {label!r} has zero total weight")
         per_group[label] = _finite(
-            math.fsum(cells.get((label, positive), [])) / total, f"rate of group {label!r}"
+            _total(cells.get((label, positive), []), f"positive mass of group {label!r}") / total,
+            f"rate of group {label!r}",
         )
     return MetricOutcome(
         value=max(per_group.values()), per_group=per_group, excluded_rows=excluded
@@ -294,8 +345,9 @@ def _confusion_counts(ctx: MetricContext) -> tuple[float, float, float, float, i
     for (y, p), parts in cells.items():
         masses.setdefault((y == b.target_positive, p == b.prediction_positive), []).extend(parts)
     tp, tn, fp, fn = (
-        math.fsum(masses.get(cell, []))
-        for cell in ((True, True), (False, False), (False, True), (True, False))
+        _total(masses.get(cell, []), f"{name} mass")
+        for cell, name in (((True, True), "true positive"), ((False, False), "true negative"),
+                           ((False, True), "false positive"), ((True, False), "false negative"))
     )
     return tp, tn, fp, fn, excluded
 

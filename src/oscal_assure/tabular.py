@@ -9,10 +9,13 @@ from __future__ import annotations
 import csv
 import io
 import operator
+import struct
 import sys
-from collections.abc import Collection
-from dataclasses import dataclass
+from collections import defaultdict
+from collections.abc import Collection, Iterable, Sequence
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count, repeat
 from typing import BinaryIO
 
 from .errors import (
@@ -52,36 +55,151 @@ def cell_token(value: Cell) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+#: A column as codes and dictionary: row i holds dictionary[codes[i]].
+Encoded = tuple[memoryview, tuple[Cell, ...]]
+
+#: struct formats of unsigned integers of 1, 2, 4 and 8 bytes.
+_CODE_FORMATS = "BHIQ"
+
+
+def code_format(size: int) -> str:
+    """The narrowest unsigned integer format that holds the codes 0 to
+    size - 1 (size <= 2**64)."""
+    return next(f for f in _CODE_FORMATS if size <= 1 << 8 * struct.calcsize(f))
+
+
+def _pack(codes: Sequence[int], size: int) -> memoryview:
+    """codes as a read-only memoryview in code_format(size)."""
+    fmt = code_format(size)
+    if fmt == "B":
+        return memoryview(bytes(codes))
+    return memoryview(struct.pack(f"{len(codes)}{fmt}", *codes)).cast(fmt)
+
+
+def _encode(cells: Iterable[Cell]) -> Encoded:
+    """Codes and dictionary of a column of cells. Cells of one type and repr
+    share one code, so 1, 1.0 and True never merge, and the first of them is
+    the one dictionary entry that stands for all."""
+    codes: defaultdict[tuple[type, str], int] = defaultdict(count().__next__)
+    dictionary: list[Cell] = []
+    encoded = []
+    for cell in cells:
+        code = codes[type(cell), repr(cell)]
+        if code == len(dictionary):
+            dictionary.append(cell)
+        encoded.append(code)
+    return _pack(encoded, len(dictionary)), tuple(dictionary)
+
+
+@dataclass(frozen=True, init=False)
 class DataTable:
-    """Typed columns of equal length.
+    """Typed, dictionary-encoded columns of equal length.
+
+    Column k is stored as codes[k], a read-only memoryview with one integer
+    code per row, and dictionaries[k], the tuple of the column's distinct
+    cells (one per distinct field, when loaded), each held by at least one
+    row: row i holds dictionaries[k][codes[k][i]]. The codes take the
+    narrowest unsigned format that holds them (code_format), so a cell costs
+    1 byte in a column of up to 256 distinct cells (2 up to 65,536), where a
+    tuple of cells costs an 8-byte pointer. column(name) decodes one column
+    into a tuple of cells; rows with one code get the very same object.
+
+    DataTable(column_names, column_types, columns, row_count) encodes
+    columns of cells as they are given: cells of one type and repr share a
+    code, so 1, 1.0 and True stay apart. load_table and stratify build
+    their tables from codes directly. Tables compare and hash by their
+    names, types, row count and cells, however the cells are encoded.
 
     Each column holds cells of one Python type (plus None) and no -0.0, so
     cells that compare equal have equal cell_tokens; metrics, stratify and
-    bind_roles group rows by value and name the groups by token. load_table
-    guarantees this, and the cells it makes equal share one object. A table
-    loaded with `columns` holds only those of the file's columns, while
-    every check of the load covered the whole file.
+    bind_roles group rows by code and name the groups by token. load_table
+    guarantees this. A table loaded with `columns` holds only those of the
+    file's columns, while every check of the load covered the whole file.
     """
 
     column_names: tuple[str, ...]
     column_types: tuple[ColumnType, ...]
-    columns: tuple[tuple[Cell, ...], ...]
     row_count: int
+    codes: tuple[memoryview, ...] = field(init=False, repr=False)
+    dictionaries: tuple[tuple[Cell, ...], ...] = field(init=False, repr=False)
+
+    def __init__(
+        self,
+        column_names: tuple[str, ...],
+        column_types: tuple[ColumnType, ...],
+        columns: Iterable[Iterable[Cell]],
+        row_count: int,
+    ) -> None:
+        self._fill(column_names, column_types, row_count, map(_encode, columns))
+
+    @classmethod
+    def _from_encoded(
+        cls,
+        column_names: tuple[str, ...],
+        column_types: tuple[ColumnType, ...],
+        row_count: int,
+        columns: Iterable[Encoded],
+    ) -> DataTable:
+        table = cls.__new__(cls)
+        table._fill(column_names, column_types, row_count, columns)
+        return table
+
+    def _fill(
+        self,
+        column_names: tuple[str, ...],
+        column_types: tuple[ColumnType, ...],
+        row_count: int,
+        columns: Iterable[Encoded],
+    ) -> None:
+        columns = list(columns)
+        object.__setattr__(self, "column_names", column_names)
+        object.__setattr__(self, "column_types", column_types)
+        object.__setattr__(self, "row_count", row_count)
+        object.__setattr__(self, "codes", tuple(codes for codes, _ in columns))
+        object.__setattr__(self, "dictionaries", tuple(entries for _, entries in columns))
+
+    def __reduce__(self):
+        # a memoryview does not pickle, so a table pickles as its cells
+        return DataTable, (self.column_names, self.column_types, self.columns, self.row_count)
+
+    def _value(self) -> tuple:
+        return self.column_names, self.column_types, self.row_count, self.columns
+
+    def __eq__(self, other: object) -> bool:
+        # tables compare, and hash, by their cells, however they are encoded
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def _index(self, name: str) -> int:
+        try:
+            return self.column_names.index(name)
+        except ValueError:
+            raise MissingColumn(f"column {name!r} not in table") from None
+
+    @property
+    def columns(self) -> tuple[tuple[Cell, ...], ...]:
+        """Every column decoded, in column order: each access decodes the
+        whole table, so read it once, outside any loop over rows."""
+        return tuple(
+            tuple(map(dictionary.__getitem__, codes))
+            for codes, dictionary in zip(self.codes, self.dictionaries)
+        )
 
     def column(self, name: str) -> tuple[Cell, ...]:
-        try:
-            index = self.column_names.index(name)
-        except ValueError:
-            raise MissingColumn(f"column {name!r} not in table") from None
-        return self.columns[index]
+        codes, dictionary = self.encoding(name)
+        return tuple(map(dictionary.__getitem__, codes))
+
+    def encoding(self, name: str) -> Encoded:
+        """The codes and dictionary of a column."""
+        index = self._index(name)
+        return self.codes[index], self.dictionaries[index]
 
     def column_type(self, name: str) -> ColumnType:
-        try:
-            index = self.column_names.index(name)
-        except ValueError:
-            raise MissingColumn(f"column {name!r} not in table") from None
-        return self.column_types[index]
+        return self.column_types[self._index(name)]
 
     def has_column(self, name: str) -> bool:
         return name in self.column_names
@@ -131,10 +249,12 @@ _DRAIN_CHARS = 1 << 16
 
 def _read_fields(
     text: io.TextIOBase, columns: Collection[str] | None
-) -> tuple[list[str], list[list[str]], list[dict[str, str]], int]:
-    """Header names, then the raw fields of each kept column with each
-    column's distinct fields, and the row count. Raises DataError for an
-    empty input, a ragged row, unreadable CSV or a duplicate header name."""
+) -> tuple[list[str], list[bytearray | list[int]], list[defaultdict[str, int]], int]:
+    """Header names, then per kept column the code of each row's raw field
+    (in a bytearray while every code is below 256, else in a list) and each
+    distinct raw field's code, and the row count. Raises DataError
+    for an empty input, a ragged row, unreadable CSV or a duplicate header
+    name."""
     reader = csv.reader(text)
     try:
         first = next(reader, None)
@@ -142,30 +262,32 @@ def _read_fields(
             raise EmptyInput("no header row in input")
         header = [name.strip() for name in first]
         keep = [i for i, name in enumerate(header) if columns is None or name in columns]
-        # Each record's kept fields go straight into their columns, each one
-        # as the one str object of its distinct field in that column: no
-        # list of rows and no per-cell copy of a field outlives its record.
-        raw_columns: list[list[str]] = [[] for _ in keep]
-        distinct: list[dict[str, str]] = [{} for _ in keep]
-        sinks = [
-            (i, raw.append, fields.setdefault)
-            for i, raw, fields in zip(keep, raw_columns, distinct)
-        ]
+        # Each record's kept fields go straight into their columns as codes,
+        # a new field taking the next code: no list of rows and no field
+        # outlives its record, except the first of each distinct field.
+        encoded: list[bytearray | list[int]] = [bytearray() for _ in keep]
+        fields: list[defaultdict[str, int]] = [defaultdict(count().__next__) for _ in keep]
+        sinks = [(i, codes.append, code) for i, codes, code in zip(keep, encoded, fields)]
         row_count = 0
         for row in reader:
             if len(row) != len(header):
                 raise RaggedRows(
                     f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
                 )
-            for i, append, intern in sinks:
-                cell = row[i]
-                append(intern(cell, cell))
+            for i, append, code in sinks:
+                try:
+                    append(code[row[i]])
+                except ValueError:  # code 256: no byte holds it
+                    k = keep.index(i)
+                    encoded[k] = list(encoded[k])
+                    sinks[k] = (i, encoded[k].append, code)
+                    encoded[k].append(code[row[i]])
             row_count += 1
     except csv.Error as exc:  # e.g. a field past the csv module's size limit
         raise DataError(f"line {reader.line_num}: unreadable CSV: {exc}") from exc
     if len(set(header)) != len(header):
         raise DataError(f"duplicate column names in header: {header}")
-    return [header[i] for i in keep], raw_columns, distinct, row_count
+    return [header[i] for i in keep], encoded, fields, row_count
 
 
 def _undecodable(stream: BinaryIO, exc: UnicodeDecodeError) -> UndecodableBytes:
@@ -195,12 +317,20 @@ def load_table(source: bytes | BinaryIO, columns: Collection[str] | None = None)
     CSV (a field past the size limit included), duplicate header names and
     an empty input. An undecodable byte wins over every other fault,
     wherever it stands, and its message gives its position in the input.
+
+    Each kept column is encoded as it is read: a raw field takes the code
+    of its first occurrence, or the next code when it is new, and the
+    column's codes are packed in the narrowest format that holds them.
+    The types are then inferred once per distinct field, and the dictionary
+    holds each field's cell at its code, so the cells made from one field
+    are one object. With up to 256 distinct fields in a column, a loaded
+    cell costs about 1 byte.
     """
     stream = source if hasattr(source, "read") else io.BytesIO(source)
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
         try:
-            names, raw_columns, distinct, row_count = _read_fields(text, columns)
+            names, codes, fields, row_count = _read_fields(text, columns)
         except DataError:
             # read on: an undecodable byte later in the input wins
             while text.read(_DRAIN_CHARS):
@@ -212,23 +342,16 @@ def load_table(source: bytes | BinaryIO, columns: Collection[str] | None = None)
         raise _undecodable(stream, exc) from exc
 
     types: list[ColumnType] = []
-    typed: list[tuple[Cell, ...]] = []
-    for k in range(len(names)):
-        # each raw column is freed once its typed tuple is built, before the
-        # next one is
-        raw, fields = raw_columns[k], distinct[k]
-        raw_columns[k] = distinct[k] = None
-        fields.pop("", None)
-        ctype, values = _infer_column(fields)
+    dictionaries: list[tuple[Cell, ...]] = []
+    for k, distinct in enumerate(fields):
+        ctype, values = _infer_column([raw for raw in distinct if raw])
         types.append(ctype)
-        # an empty field is no key of values, so .get maps it to None
-        typed.append(tuple(map(values.get, raw)))
-
-    return DataTable(
-        column_names=tuple(names),
-        column_types=tuple(types),
-        columns=tuple(typed),
-        row_count=row_count,
+        # in code order; an empty field is no key of values, so .get maps it to None
+        dictionaries.append(tuple(map(values.get, distinct)))
+        # each column's codes are packed, and the unpacked ones freed, in turn
+        codes[k] = _pack(codes[k], len(distinct))
+    return DataTable._from_encoded(
+        tuple(names), tuple(types), row_count, zip(codes, dictionaries)
     )
 
 
@@ -237,10 +360,12 @@ def dump_table(table: DataTable) -> bytes:
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(table.column_names)
-    for i in range(table.row_count):
-        writer.writerow(
-            ["" if col[i] is None else cell_token(col[i]) for col in table.columns]
-        )
+    # each dictionary entry is spelled once; the rows read the codes
+    columns = [
+        map(["" if cell is None else cell_token(cell) for cell in dictionary].__getitem__, codes)
+        for codes, dictionary in zip(table.codes, table.dictionaries)
+    ]
+    writer.writerows(zip(*columns) if columns else repeat((), table.row_count))
     return buffer.getvalue().encode("utf-8")
 
 
@@ -248,7 +373,7 @@ def _check_binary(table: DataTable, name: str, role: str, positive: str) -> str:
     """Check that a column is binary and, when it holds two values, that
     the positive label is one of them. Returns the label as cell_token
     spells it (boolean labels match case-insensitively)."""
-    distinct = {cell_token(v) for v in set(table.column(name)) if v is not None}
+    distinct = {cell_token(v) for v in table.encoding(name)[1] if v is not None}
     if len(distinct) > 2:
         raise NonBinaryTarget(
             f"{role} column {name!r} has {len(distinct)} distinct values, expected <= 2"
@@ -272,7 +397,9 @@ def bind_roles(
     prediction_positive: str | None = None,
     weight: str | None = None,
 ) -> RoleBindings:
-    """Validate and bind semantic roles against a table."""
+    """Validate and bind semantic roles against a table. Each check runs
+    once per dictionary entry; a bad weight is reported at the first row
+    that holds one."""
     for name in (target, group, prediction, weight):
         if name is not None and not table.has_column(name):
             raise MissingColumn(f"bound column {name!r} not in table")
@@ -286,18 +413,18 @@ def bind_roles(
         )
 
     if weight is not None:
-        for i, value in enumerate(table.column(weight)):
+        codes, dictionary = table.encoding(weight)
+        faults: dict[int, str] = {}
+        for code, value in enumerate(dictionary):
             if value is None:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise NegativeWeight(
-                    f"weight column {weight!r} row {i + 1}: non-numeric value {value!r}"
-                )
-            if not 0 <= value <= sys.float_info.max:  # also NaN, and an int no float holds
-                raise NegativeWeight(
-                    f"weight column {weight!r} row {i + 1}: value {value!r} is not a "
-                    "finite number >= 0"
-                )
+                faults[code] = f"non-numeric value {value!r}"
+            elif not 0 <= value <= sys.float_info.max:  # also NaN, and an int no float holds
+                faults[code] = f"value {value!r} is not a finite number >= 0"
+        if faults:
+            row = next(i for i, code in enumerate(codes) if code in faults)
+            raise NegativeWeight(f"weight column {weight!r} row {row + 1}: {faults[codes[row]]}")
 
     return RoleBindings(
         target=target,
@@ -306,6 +433,22 @@ def bind_roles(
         prediction=prediction,
         prediction_positive=prediction_positive,
         weight=weight,
+    )
+
+
+def _subset(codes: memoryview, dictionary: tuple[Cell, ...], rows: list[int]) -> Encoded:
+    """A column cut down to rows (at least one). When the rows do not hold
+    every dictionary entry, the entries they hold are recoded 0, 1, ... in
+    order of first row, so the dictionary keeps only them."""
+    # itemgetter of one index returns the code itself, not a 1-tuple
+    picked = operator.itemgetter(*rows)(codes) if len(rows) > 1 else (codes[rows[0]],)
+    held = dict.fromkeys(picked)
+    if len(held) == len(dictionary):
+        return _pack(picked, len(dictionary)), dictionary
+    recode = {old: new for new, old in enumerate(held)}
+    return (
+        _pack(list(map(recode.__getitem__, picked)), len(recode)),
+        tuple(map(dictionary.__getitem__, held)),
     )
 
 
@@ -318,30 +461,24 @@ def stratify(table: DataTable, by: str) -> list[tuple[str, DataTable]]:
         raise NonCategoricalColumn(
             f"column {by!r} is {table.column_type(by).value}, stratification needs categorical"
         )
-    groups: dict[Cell, list[int]] = {}
-    for i, value in enumerate(table.column(by)):
-        groups.setdefault(value, []).append(i)
+    codes, dictionary = table.encoding(by)
+    groups: dict[int, list[int]] = {}
+    for i, code in enumerate(codes):
+        groups.setdefault(code, []).append(i)
     # None and "" are unequal but share the label "": their rows merge
     labelled: dict[str, list[int]] = {}
-    for value, indexes in groups.items():
-        labelled.setdefault(cell_token(value), []).extend(indexes)
+    for code, indexes in groups.items():
+        labelled.setdefault(cell_token(dictionary[code]), []).extend(indexes)
 
     strata = []
     for label in sorted(labelled):
         indexes = sorted(labelled[label])
-        pick = operator.itemgetter(*indexes)
-        # itemgetter of one index returns the cell itself, not a 1-tuple
-        columns = tuple(
-            pick(col) if len(indexes) > 1 else (pick(col),) for col in table.columns
-        )
+        columns = [_subset(*column, indexes) for column in zip(table.codes, table.dictionaries)]
         strata.append(
             (
                 label,
-                DataTable(
-                    column_names=table.column_names,
-                    column_types=table.column_types,
-                    columns=columns,
-                    row_count=len(indexes),
+                DataTable._from_encoded(
+                    table.column_names, table.column_types, len(indexes), columns
                 ),
             )
         )

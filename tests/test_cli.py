@@ -481,6 +481,52 @@ def test_run_frees_the_loaded_table_before_it_finalizes(tmp_path, monkeypatch):
     assert len(loaded) == 1
 
 
+WEIGHTED_DI_PLAN = """\
+assessment-plan:
+  metadata:
+    title: "weighted rates"
+  control-implementations:
+    - implemented-requirements:
+        - control-id: weighted-di
+          props:
+            - {name: metric_key, value: disparate_impact}
+            - {name: operator, value: gt}
+            - {name: threshold, value: "0.8"}
+            - {name: enforcement_mode, value: block}
+"""
+
+
+@pytest.fixture
+def overflowing_weights(tmp_path) -> tuple[Path, Path]:
+    """A plan and data whose group "a" weighs more than the largest float."""
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(WEIGHTED_DI_PLAN)
+    data = tmp_path / "data.csv"
+    data.write_text("g,y,w\na,1,1e308\na,0,1e308\nb,1,1\n")
+    return plan, data
+
+
+def test_enforce_fails_closed_on_weights_that_overflow(tmp_path, capsys, overflowing_weights):
+    plan, data = overflowing_weights
+    flags = ["--target", "y:1", "--group", "g", "--weight", "w"]
+    assert main(["enforce", str(plan), str(data), *flags, "--out", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    results = (tmp_path / "out" / "assessment-results.oscal.json").read_text()
+    assert "evaluation-error: mass of group 'a' overflows a float" in results
+
+
+def test_run_on_weights_that_overflow_writes_its_run_directory(tmp_path, overflowing_weights):
+    plan, data = overflowing_weights
+    vault = tmp_path / "vv"
+    args = ["run", "r", str(plan), "--data", str(data), "--target", "y:1", "--group", "g",
+            "--weight", "w", "--vault", str(vault)]
+    assert main(args) == 2
+    run_dir = vault / "runs" / "r"
+    assert {"assessment-results.oscal.json", "poam.oscal.json", "hashes.json"} <= {
+        path.name for path in run_dir.iterdir()
+    }
+
+
 def test_failed_run_leaves_no_run_directory_behind(tmp_path, monkeypatch):
     # a run that fails after its session opened must not push the next run
     # with the same id onto a suffix

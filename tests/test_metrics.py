@@ -103,6 +103,25 @@ def test_group_rates_weighted():
     assert outcome.per_group["B"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [class_imbalance_ratio, group_positive_rates, disparate_impact, accuracy, dice],
+)
+def test_weights_that_sum_past_the_largest_float_are_not_computable(metric):
+    # each weight is finite, so bind_roles takes them; their sum is not
+    ctx = ctx_of(
+        ["g", "y", "p", "w"],
+        [["a", "1", "1", "1e308"], ["a", "0", "0", "1e308"], ["a", "0", "0", "1e308"],
+         ["b", "1", "1", "1"]],
+        group="g",
+        prediction="p",
+        prediction_positive="1",
+        weight="w",
+    )
+    with pytest.raises(NotComputable, match="overflows a float"):
+        metric(ctx)
+
+
 def test_missing_rows_excluded_and_counted():
     ctx = ctx_of(["g", "y"], [["A", "1"], ["", "0"], ["B", ""]], group="g")
     outcome = group_positive_rates(ctx)

@@ -41,6 +41,7 @@ from oscal_assure import (
     group_reweight,
     load_table,
     serialize_canonical,
+    stratify,
 )
 from oscal_assure import metrics
 from oscal_assure.cli import main
@@ -1048,3 +1049,119 @@ def test_load_table_matches_the_row_list_loader(source, columns):
     sharing = _sharing(load_table(source))
     kept = load_table(source, columns=columns)
     assert _sharing(kept) == [sharing[i] for i in keep]
+
+
+# --- dictionary encoding -------------------------------------------------------------
+# A table holds each column as codes and the tuple of its distinct cells. Hand-built
+# tables and strata are encoded as they are made; decoded, every table must give the
+# cells the per-row code gave, and every dictionary entry must be held by a row (so
+# bind_roles, which checks dictionary entries, sees only the cells a table holds).
+
+
+def _typed(cells) -> list[tuple[type, str]]:
+    """Each cell's type and repr: 1, 1.0, True and "1" stay apart, as do 0.0 and -0.0."""
+    return [(type(cell), repr(cell)) for cell in cells]
+
+
+def _assert_every_entry_is_held(table: DataTable) -> None:
+    for codes, dictionary in zip(table.codes, table.dictionaries):
+        assert sorted(set(codes)) == list(range(len(dictionary)))
+
+
+mixed_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=2),
+    st.sampled_from([0, 1, 0.0, -0.0, 1.0, True, False, "1", "", math.nan]),
+)
+
+
+@given(st.lists(mixed_cells, max_size=60))
+def test_a_hand_built_mixed_column_keeps_its_cells(cells):
+    table = DataTable(("c",), (ColumnType.CATEGORICAL,), (cells,), len(cells))
+    column = table.column("c")
+    assert _typed(column) == _typed(cells)
+    # one object per type and repr
+    assert len({id(cell) for cell in column}) == len(set(_typed(cells)))
+    _assert_every_entry_is_held(table)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OscalAssureError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_contexts(), st.sampled_from(["s", "g", "h", "y", "nope"]))
+def test_strata_decode_to_the_per_row_stratify(ctx, by):
+    strata = _outcome(stratify, ctx.table, by)
+    expected = _outcome(_reference_stratify, ctx.table, by)
+    if isinstance(expected, str):
+        assert strata == expected
+        return
+    assert [
+        (label, table.row_count, [_typed(column) for column in table.columns])
+        for label, table in strata
+    ] == [
+        (label, table.row_count, [_typed(column) for column in table.columns])
+        for label, table in expected
+    ]
+    for _, table in strata:
+        _assert_every_entry_is_held(table)
+
+
+def _reference_count_rows(table: DataTable, names, weight) -> dict:
+    """count_rows as one loop over the decoded rows: {tokens: [rows, rows
+    without a weight, sorted masses]}."""
+    cells: dict = {}
+    weights = table.column(weight) if weight is not None else [None] * table.row_count
+    rows = zip(*map(table.column, names)) if names else [()] * table.row_count
+    for row, w in zip(rows, weights):
+        key = tuple(None if v is None else cell_token(v) for v in row)
+        cell = cells.setdefault(key, [0, 0, []])
+        cell[0] += 1
+        if weight is None:
+            cell[2] = [cell[0]]
+        elif w is None:
+            cell[1] += 1
+        else:
+            cell[2].append(float(w))
+    return {key: [n, unweighted, sorted(masses)] for key, (n, unweighted, masses) in cells.items()}
+
+
+#: Distinct values a column of the count_rows property draws from: past 256
+#: present values, codes take two bytes, and a row's codes past 8 bytes
+#: (9 or 18 columns) are counted as tuples.
+COUNT_POOL_SIZES = [1, 2, 5, 16, 1000]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0), st.booleans())
+@example(seed=0, weighted=False)
+def test_count_rows_matches_a_per_row_count(seed, weighted):
+    rng = random.Random(seed)
+    width = rng.choice([0, 1, 2, 3, 4, 8, 9, 18])
+    rows = rng.randint(0, 600)
+    pools = [
+        [None, *range(rng.choice(COUNT_POOL_SIZES))] if rng.random() < 0.3
+        else list(range(rng.choice(COUNT_POOL_SIZES)))
+        for _ in range(width)
+    ]
+    columns = [[rng.choice(pool) for _ in range(rows)] for pool in pools]
+    weights = [rng.choice([None, 0, 0.5, 1e-300, 3.0, rng.random()]) for _ in range(rows)]
+    names = [f"c{k}" for k in range(width)]
+    table = DataTable(
+        (*names, "w"), (ColumnType.INTEGER,) * (width + 1), (*columns, weights), rows
+    )
+    weight = "w" if weighted else None
+    # keys are laid out a block of rows at a time: small blocks split the rows
+    with mock.patch.object(metrics, "_KEY_ROWS", rng.choice([1, 7, 64, metrics._KEY_ROWS])):
+        joint = metrics.count_rows(table, names, weight)
+    assert joint.names == tuple(names)
+    assert {
+        key: [n, unweighted, sorted(masses)] for key, (n, unweighted, masses) in joint.cells.items()
+    } == _reference_count_rows(table, names, weight)

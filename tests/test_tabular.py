@@ -3,6 +3,9 @@ from __future__ import annotations
 import functools
 import io
 import math
+import pickle
+import random
+import tracemalloc
 
 import pytest
 
@@ -137,6 +140,108 @@ def test_equal_loaded_cells_share_one_object():
         assert column[0] is column[1]
 
 
+@pytest.mark.parametrize(
+    "distinct, fmt", [(256, "B"), (257, "H"), (65_536, "H"), (65_537, "I")]
+)
+def test_codes_take_the_narrowest_format_that_holds_them(distinct, fmt):
+    # the codes of column "n" outgrow a byte, then two, while rows are read
+    values = list(range(distinct)) + [0, distinct - 1]
+    source = "n,g\n" + "".join(f"{v},{v % 3}\n" for v in values)
+    table = load_table(source.encode())
+    assert [codes.format for codes in table.codes] == [fmt, "B"]
+    assert table.column("n") == tuple(values)
+    assert table.column("g") == tuple(v % 3 for v in values)
+    hand_built = DataTable(("n",), (ColumnType.INTEGER,), (values,), len(values))
+    assert hand_built.codes[0].format == fmt
+    assert hand_built.column("n") == tuple(values)
+
+
+def test_a_table_pickles_as_its_cells():
+    table = load_table(b"g,x\na,1.5\nb,\na,1.5\n")
+    again = pickle.loads(pickle.dumps(table))
+    assert (again.column_names, again.column_types, again.row_count) == (
+        table.column_names, table.column_types, table.row_count
+    )
+    assert again.columns == table.columns
+    assert again == table
+
+
+def test_tables_compare_and_hash_by_their_cells():
+    source = b"g,x,n\na,1.5,1\nb,,2\na,1.5,1\n"
+    table = load_table(source)
+    same = load_table(source)
+    assert table == same and hash(table) == hash(same)
+    hand_built = DataTable(table.column_names, table.column_types, table.columns, 3)
+    assert hand_built == table and hash(hand_built) == hash(table)
+    assert {table, same, hand_built} == {table}
+    # stratum "a" keeps the dictionary (1, 2) of x; built by hand it is (2, 1)
+    (_, stratum), _ = stratify(load_table(b"g,x\nb,1\na,2\na,2\na,1\n"), "g")
+    assert stratum.dictionaries[1] == (1, 2)
+    by_hand = DataTable(stratum.column_names, stratum.column_types, (("a",) * 3, (2, 2, 1)), 3)
+    assert by_hand.dictionaries[1] == (2, 1)
+    assert by_hand == stratum and hash(by_hand) == hash(stratum)
+    (_, a), (_, b) = stratify(table, "g")
+    assert a == load_table(b"g,x,n\na,1.5,1\na,1.5,1\n")
+    assert a != b
+    assert table != load_table(b"g,x,n\na,1.5,1\nb,,2\na,1.5,2\n")
+    assert table != load_table(b"g,x,m\na,1.5,1\nb,,2\na,1.5,1\n")
+    assert table != table.columns
+
+
+def test_dump_table_decodes_the_table_once():
+    # reading every column per row made a dump quadratic in the row count
+    reads = []
+
+    class CountingTable(DataTable):
+        @property
+        def columns(self):
+            reads.append("columns")
+            return super().columns
+
+        def column(self, name):
+            reads.append(name)
+            return super().column(name)
+
+    rows = 20_000
+    cells = (
+        tuple(["a", "b", None][i % 3] for i in range(rows)),
+        tuple(i % 7 for i in range(rows)),
+        tuple([True, False][i % 2] for i in range(rows)),
+        tuple(i / 4 for i in range(rows)),
+    )
+    table = CountingTable(("g", "n", "f", "x"), (
+        ColumnType.CATEGORICAL, ColumnType.INTEGER, ColumnType.BOOLEAN, ColumnType.DECIMAL
+    ), cells, rows)
+    text = dump_table(table)
+    assert len(reads) <= 1
+    assert load_table(text).columns == cells
+    assert text.splitlines()[:3] == [b"g,n,f,x", b"a,0,true,0.0", b"b,1,false,0.25"]
+
+
+def test_a_loaded_cell_costs_about_one_byte():
+    # 4 kept columns of at most 256 distinct values among 6: each cell is a
+    # one-byte code, where a tuple of cells costs an 8-byte pointer per cell
+    rng = random.Random(5)
+    rows = 50_000
+    lines = ["a,b,c,d,e,f"]
+    for _ in range(rows):
+        lines.append(
+            f"{rng.choice('xy')},{rng.randrange(256)},{rng.randrange(100) / 4},"
+            f"{rng.choice(['true', 'false', ''])},free text {rng.random()},{rng.randrange(3)}"
+        )
+    source = ("\n".join(lines) + "\n").encode()
+    tracemalloc.start()
+    try:
+        table = load_table(source, columns=["a", "b", "c", "d"])
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = rows * 4
+    assert table.row_count * len(table.column_names) == cells
+    assert peak <= 6 * cells
+    assert retained <= 2 * cells
+
+
 def test_empty_input_rejected():
     with pytest.raises(EmptyInput):
         load_table(b"")
@@ -212,6 +317,48 @@ def test_bind_roles_rejects_a_non_finite_weight(weight):
     table = load_table(f"g,y,w\na,1,1\na,0,{weight}\na,1,1\nb,1,1\n".encode())
     with pytest.raises(NegativeWeight, match=f"row 2: value {table.column('w')[1]!r} is not"):
         bind_roles(table, "y", "1", group="g", weight="w")
+
+
+def test_a_bad_weight_is_reported_at_its_first_row():
+    table = load_table(b"y,w\n1,1\n0,2\n1,-1\n0,3\n1,-1\n")
+    with pytest.raises(NegativeWeight) as exc:
+        bind_roles(table, "y", "1", weight="w")
+    assert str(exc.value) == "weight column 'w' row 3: value -1 is not a finite number >= 0"
+    # of two bad weights, the one on the earlier row is named
+    table = load_table(b"y,w\n1,1\n0,nan\n1,-1\n")
+    with pytest.raises(NegativeWeight, match="row 2: value nan is not"):
+        bind_roles(table, "y", "1", weight="w")
+    table = DataTable(("y", "w"), (ColumnType.INTEGER,) * 2, ((1, 0, 1), (1, "x", True)), 3)
+    with pytest.raises(NegativeWeight) as exc:
+        bind_roles(table, "y", "1", weight="w")
+    assert str(exc.value) == "weight column 'w' row 2: non-numeric value 'x'"
+
+
+def test_binary_checks_list_the_values_the_table_holds():
+    table = table_from_rows(["y"], [["a"], ["b"], ["c"], ["a"]])
+    with pytest.raises(NonBinaryTarget) as exc:
+        bind_roles(table, "y", "a")
+    assert str(exc.value) == "target column 'y' has 3 distinct values, expected <= 2"
+    table = table_from_rows(["y", "p"], [["good", "bad"], ["bad", ""], ["good", "good"]])
+    with pytest.raises(UnknownPositiveLabel) as exc:
+        bind_roles(table, "y", "good", prediction="p", prediction_positive="Good")
+    assert str(exc.value) == (
+        "prediction positive label 'Good' is not a value of column 'p' (values: bad, good)"
+    )
+
+
+def test_a_stratum_binds_on_the_cells_it_holds():
+    # stratum "b" holds neither the third target value nor the bad weight
+    table = table_from_rows(
+        ["g", "y", "w"], [["a", "x", "-1"], ["b", "1", "2"], ["a", "1", "1"], ["b", "0", "1"]]
+    )
+    with pytest.raises(NonBinaryTarget):
+        bind_roles(table, "y", "1")
+    (_, a), (_, b) = stratify(table, "g")
+    assert b.column("w") == (2, 1)
+    assert bind_roles(b, "y", "1", weight="w").weight == "w"
+    with pytest.raises(NegativeWeight, match="row 1: value -1 is not"):
+        bind_roles(a, "g", "a", weight="w")
 
 
 def test_all_negative_target_binds():
