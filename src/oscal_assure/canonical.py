@@ -111,15 +111,15 @@ def utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-def namespace_uuid(seed_namespace: str | None) -> uuid_module.UUID:
-    """Derive a uuid namespace from a caller seed via SHA-256."""
-    digest = hashlib.sha256((seed_namespace or "oscal-assure").encode("utf-8")).digest()
-    return uuid_module.UUID(bytes=digest[:16])
+#: The one namespace of every name-based uuid (RFC 4122 §4.3): the first
+#: 16 bytes of SHA-256("oscal-assure"). Every `--deterministic` document
+#: pins the uuids it gives, so it never changes.
+_UUID_NAMESPACE = uuid_module.UUID(bytes=hashlib.sha256(b"oscal-assure").digest()[:16])
 
 
-def name_uuid(seed_namespace: str | None, content_path: str) -> str:
-    """Name-based uuid for one content path under a seed namespace."""
-    return str(uuid_module.uuid5(namespace_uuid(seed_namespace), content_path))
+def name_uuid(content_path: str) -> str:
+    """Name-based uuid for one content path."""
+    return str(uuid_module.uuid5(_UUID_NAMESPACE, content_path))
 
 
 def random_uuid() -> str:

@@ -35,7 +35,6 @@ from .evidence import (
 )
 from .metrics import MetricContext, default_registry
 from .plan import (
-    DEFAULT_PROPERTY_NS,
     AssessmentPlan,
     ControlSpec,
     EnforcementMode,
@@ -82,10 +81,10 @@ def _plan_format(path: Path) -> str:
                 "(use .json, .yaml, or .yml)")
 
 
-def _load_plan(path: str, ns: str) -> AssessmentPlan:
+def _load_plan(path: str) -> AssessmentPlan:
     source = Path(path)
     try:
-        return parse_plan_document(source.read_bytes(), _plan_format(source), ns=ns)
+        return parse_plan_document(source.read_bytes(), _plan_format(source))
     except PolicyError as exc:
         raise _Exit(f"invalid policy: {exc}", EXIT_INVALID_POLICY) from exc
     except OSError as exc:
@@ -146,11 +145,6 @@ def _add_binding_flags(parser: argparse.ArgumentParser, target_required: bool) -
         "--prediction", metavar="COL:POS", help="prediction column and its positive label"
     )
     parser.add_argument("--weight", metavar="COL", help="sample weight column")
-    parser.add_argument(
-        "--ns",
-        default=DEFAULT_PROPERTY_NS,
-        help="property namespace to accept (default: %(default)s)",
-    )
 
 
 def _default_phase(bindings: RoleBindings) -> LifecyclePhase:
@@ -161,15 +155,14 @@ def _default_phase(bindings: RoleBindings) -> LifecyclePhase:
     )
 
 
-def _print_verdict_table(report: PhaseReport, plan: AssessmentPlan, stream=None) -> None:
-    stream = stream or sys.stdout
-    print(f"phase: {report.phase.value}", file=stream)
+def _print_verdict_table(report: PhaseReport, plan: AssessmentPlan) -> None:
+    print(f"phase: {report.phase.value}")
     header = (
         f"{'CONTROL':<24} {'METRIC':<30} {'VALUE':>8} {'OP':<3} "
         f"{'THRESH':>8} {'RESULT':<30} ACTION"
     )
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
+    print(header)
+    print("-" * len(header))
     for verdict in report.verdicts:
         spec = plan.control(verdict.control_id)
         value = verdict.observed_value
@@ -187,21 +180,19 @@ def _print_verdict_table(report: PhaseReport, plan: AssessmentPlan, stream=None)
             f"{spec.operator.value:<3} "
             f"{spec.threshold:>8.3f} "
             f"{result:<30} "
-            f"{verdict.enforcement_action_taken.value}",
-            file=stream,
+            f"{verdict.enforcement_action_taken.value}"
         )
-    print(file=stream)
+    print()
 
 
-def _write_documents(report: PhaseReport, out_dir: Path, deterministic: bool,
-                     seed_namespace: str | None) -> list[Path]:
+def _write_documents(report: PhaseReport, out_dir: Path, deterministic: bool) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = report.assessment_results
     poam = report.poam
     if deterministic:
-        results, mapping = determinize(results, seed_namespace)
+        results, mapping = determinize(results)
         if poam is not None:
-            poam, _ = determinize(poam, seed_namespace, reference_map=mapping)
+            poam, _ = determinize(poam, reference_map=mapping)
 
     def documents():
         yield "assessment-results.oscal.json", serialize_canonical(results)
@@ -220,7 +211,7 @@ def _write_documents(report: PhaseReport, out_dir: Path, deterministic: bool,
 
 
 def cmd_validate(args) -> int:
-    plan = _load_plan(args.policy, args.ns)
+    plan = _load_plan(args.policy)
 
     print(f"{args.policy}: valid assessment plan, {len(plan.controls)} control(s)")
     for spec in plan.controls:
@@ -231,7 +222,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enforce(args) -> int:
-    plan = _load_plan(args.policy, args.ns)
+    plan = _load_plan(args.policy)
 
     try:
         table, _ = _load_data(args, plan)
@@ -244,9 +235,7 @@ def cmd_enforce(args) -> int:
         report = enforce_phase(
             plan, phase, ctx, default_registry(), mode_override=mode_override
         )
-        written = _write_documents(
-            report, Path(args.out), args.deterministic, args.seed_namespace
-        )
+        written = _write_documents(report, Path(args.out), args.deterministic)
     except (OscalAssureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -261,15 +250,15 @@ def cmd_enforce(args) -> int:
 
 
 def cmd_run(args) -> int:
-    plan = _load_plan(args.policy, args.ns)
+    plan = _load_plan(args.policy)
 
     registry = default_registry()
     try:
         table = bindings = session = None
         if args.data:
-            table, data_sha256 = _load_data(args, plan)
             if not args.target:
                 raise _Exit("usage error: --target is required when --data is given")
+            table, data_sha256 = _load_data(args, plan)
             bindings = _build_bindings(args, table)
 
         session = open_session(args.run_id, args.vault)
@@ -317,10 +306,7 @@ def cmd_run(args) -> int:
         # only the reports are needed from here: the input is freed before
         # the documents are serialized
         del table, ctx
-        bundle = finalize_session(
-            session, reports, deterministic=args.deterministic,
-            seed_namespace=args.seed_namespace,
-        )
+        bundle = finalize_session(session, reports, deterministic=args.deterministic)
     except (OscalAssureError, OSError) as exc:
         if session is not None:
             # a failed run leaves no empty run directory to push the next
@@ -464,7 +450,7 @@ def _report_payload(results, poam) -> dict:
 
 
 def cmd_trace(args) -> int:
-    plan = _load_plan(args.policy, args.ns)
+    plan = _load_plan(args.policy)
 
     labels = None
     if args.labels:
@@ -504,7 +490,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="parse a policy and list its properties")
     p.add_argument("policy")
-    p.add_argument("--ns", default=DEFAULT_PROPERTY_NS)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("enforce", help="evaluate one lifecycle phase against data")
@@ -514,7 +499,6 @@ def build_parser() -> _Parser:
     _add_binding_flags(p, target_required=True)
     p.add_argument("--out", default=".", help="directory for output documents")
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--seed-namespace", default=None)
     p.add_argument(
         "--mode-override", choices=[m.value for m in EnforcementMode], default=None
     )
@@ -531,7 +515,6 @@ def build_parser() -> _Parser:
                    help="dependency manifest to ingest as a CycloneDX-subset BOM")
     p.add_argument("--vault", default=None, help="vault root (overrides OSCAL_ASSURE_VAULT)")
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--seed-namespace", default=None)
     p.add_argument(
         "--mode-override", choices=[m.value for m in EnforcementMode], default=None
     )
@@ -546,7 +529,6 @@ def build_parser() -> _Parser:
     p.add_argument("policy")
     p.add_argument("control_id")
     p.add_argument("--labels", default=None, help="JSON file mapping ids to labels")
-    p.add_argument("--ns", default=DEFAULT_PROPERTY_NS)
     p.set_defaults(func=cmd_trace)
 
     return parser

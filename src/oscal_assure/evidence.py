@@ -36,7 +36,7 @@ from .serialize import determinize, serialize_canonical
 DEFAULT_VAULT_ROOT = ".oscal-assure"
 VAULT_ENV_VAR = "OSCAL_ASSURE_VAULT"
 
-_RUN_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_RUN_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 _HASH_CHUNK = 1 << 16
 
 
@@ -112,19 +112,17 @@ def resolve_vault_root(vault_root: str | os.PathLike | None = None) -> Path:
     return Path(env) if env else Path(DEFAULT_VAULT_ROOT)
 
 
-def open_session(
-    run_id: str | None = None, vault_root: str | os.PathLike | None = None
-) -> RunSession:
+def open_session(run_id: str, vault_root: str | os.PathLike | None = None) -> RunSession:
     """Create <root>/runs/<run_id>/; an existing run_id gets a numeric
     suffix (credit-scoring -> credit-scoring-2)."""
+    # `.` and `..` name the runs directory and the vault root, not a new run
+    if not _RUN_ID_RE.fullmatch(run_id) or run_id in (".", ".."):
+        raise InvalidRunId(
+            f"run id {run_id!r} is not filesystem-safe ([A-Za-z0-9._-] only, "
+            "and not . or ..)"
+        )
     root = resolve_vault_root(vault_root)
     started = utc_now()
-    if run_id is None:
-        run_id = started.strftime("run-%Y%m%d-%H%M%S")
-    elif not _RUN_ID_RE.match(run_id):
-        raise InvalidRunId(
-            f"run id {run_id!r} is not filesystem-safe ([A-Za-z0-9._-] only)"
-        )
 
     runs_dir = root / "runs"
     try:
@@ -197,15 +195,15 @@ class HashingReader(io.RawIOBase):
 def record_artifact(
     session: RunSession,
     path: str | os.PathLike,
-    logical_name: str | None = None,
     role: ArtifactRole = ArtifactRole.OTHER,
 ) -> ArtifactRecord:
-    """Stream a file, compute its SHA-256, and append the record."""
+    """Stream a file, compute its SHA-256, and append the record under
+    the file's name."""
     session._check_open()
     source = Path(path)
     sha256, size = _hash_file(source)
     record = ArtifactRecord(
-        logical_name=logical_name or source.name,
+        logical_name=source.name,
         path=str(source),
         sha256=sha256,
         byte_size=size,
@@ -348,15 +346,15 @@ def write_files(directory: Path, files: Iterable[tuple[str, bytes]]) -> list[str
 
 
 def _vault_files(session: RunSession, phase_reports: list[PhaseReport], handshake_ok: bool,
-                 deterministic: bool, seed_namespace: str | None) -> Iterator[tuple[str, bytes]]:
+                 deterministic: bool) -> Iterator[tuple[str, bytes]]:
     """The run directory's files in order, each serialized only when it is
     asked for."""
     results, poam = combine_reports(list(phase_reports))
     if results is not None:
         if deterministic:
-            results, mapping = determinize(results, seed_namespace)
+            results, mapping = determinize(results)
             if poam is not None:
-                poam, _ = determinize(poam, seed_namespace, reference_map=mapping)
+                poam, _ = determinize(poam, reference_map=mapping)
         yield "assessment-results.oscal.json", serialize_canonical(results)
         if poam is not None:
             yield "poam.oscal.json", serialize_canonical(poam)
@@ -379,7 +377,6 @@ def finalize_session(
     session: RunSession,
     phase_reports: list[PhaseReport],
     deterministic: bool = False,
-    seed_namespace: str | None = None,
 ) -> EvidenceBundle:
     """Write the vault bundle and close the session.
 
@@ -390,7 +387,7 @@ def finalize_session(
     handshake_ok = len(phase_reports) >= 1
     written = write_files(
         session.run_dir,
-        _vault_files(session, phase_reports, handshake_ok, deterministic, seed_namespace),
+        _vault_files(session, phase_reports, handshake_ok, deterministic),
     )
     session.closed = True
     return EvidenceBundle(session=session, handshake_ok=handshake_ok, written_files=tuple(written))

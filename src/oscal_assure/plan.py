@@ -43,8 +43,8 @@ _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 #: accept and reject the same documents.
 _YAML_MAX_DEPTH = 100
 
-#: Default namespace for the AI-assurance properties. Matching is by name;
-#: the namespace is only consulted when a property entry carries one.
+#: The namespace of the AI-assurance properties (OSCAL `prop/@ns`). A prop
+#: is read as one of them when it carries this namespace or none.
 DEFAULT_PROPERTY_NS = "urn:oscal-assure:ai"
 
 
@@ -239,13 +239,12 @@ def extract_control_spec(
     props: list[PropertyEntry],
     control_id: str,
     description: str,
-    ns: str = DEFAULT_PROPERTY_NS,
 ) -> ControlSpec:
     """Map one requirement's properties into a ControlSpec.
 
-    Properties with a foreign namespace or an unrecognized name are kept
-    opaquely in extra_props; repeated single-valued properties keep the
-    last occurrence.
+    Properties under a namespace other than DEFAULT_PROPERTY_NS, or with an
+    unrecognized name, are kept opaquely in extra_props; repeated
+    single-valued properties keep the last occurrence.
     """
     fields: dict[str, str] = {}
     phases: list[LifecyclePhase] = []
@@ -255,7 +254,7 @@ def extract_control_spec(
     single_valued = {"metric_key", "operator", "threshold", *_ENUM_PROPS, *_TEXT_PROPS}
 
     for prop in props:
-        ours = prop.ns is None or prop.ns == ns
+        ours = prop.ns in (None, DEFAULT_PROPERTY_NS)
         if ours and prop.name in single_valued:
             fields[prop.name] = prop.value
         elif ours and prop.name == "lifecycle_phase":
@@ -410,16 +409,14 @@ def document_body(source: bytes, format: str, root: str) -> dict:
     return document[root]
 
 
-def parse_plan_document(
-    source: bytes, format: str = "json", ns: str = DEFAULT_PROPERTY_NS
-) -> AssessmentPlan:
+def parse_plan_document(source: bytes, format: str = "json") -> AssessmentPlan:
     """Parse an assessment plan from JSON or YAML bytes."""
     body = document_body(source, format, "assessment-plan")
     metadata = nested(body, "metadata", dict)
     title = text(metadata.get("title"), "metadata.title").strip()
     version = text(metadata.get("version"), "metadata.version", "1.0")
     last_modified = timestamp(metadata, "last-modified")
-    plan_uuid = text(body.get("uuid"), "uuid") or name_uuid(None, f"assessment-plan:{title}")
+    plan_uuid = text(body.get("uuid"), "uuid") or name_uuid(f"assessment-plan:{title}")
 
     controls: list[ControlSpec] = []
     seen: set[str] = set()
@@ -434,7 +431,7 @@ def parse_plan_document(
             where = f"control {control_id!r}"
             props = parse_props(requirement, where)
             description = text(requirement.get("description"), f"{where}: description")
-            controls.append(extract_control_spec(props, control_id, description.strip(), ns=ns))
+            controls.append(extract_control_spec(props, control_id, description.strip()))
 
     return AssessmentPlan(
         uuid=plan_uuid,

@@ -214,9 +214,7 @@ def poam_to_dict(doc: PoamDocument) -> dict:
 
 
 def determinize(
-    doc: Document,
-    seed_namespace: str | None = None,
-    reference_map: dict[str, str] | None = None,
+    doc: Document, reference_map: dict[str, str] | None = None
 ) -> tuple[Document, dict[str, str]]:
     """Rewrite a document with name-based uuids derived from content paths
     and every timestamp set to DETERMINISTIC_EPOCH. This is the one way to
@@ -230,7 +228,7 @@ def determinize(
     mapping: dict[str, str] = dict(reference_map or {})
 
     def assign(old: str, path: str) -> str:
-        new = name_uuid(seed_namespace, path)
+        new = name_uuid(path)
         mapping[old] = new
         return new
 

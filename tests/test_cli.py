@@ -568,6 +568,21 @@ def test_run_with_an_undecodable_lockfile_exits_one_and_leaves_no_run_directory(
     assert list((tmp_path / "vault" / "runs").iterdir()) == []
 
 
+@pytest.mark.parametrize("run_id", ["nl\n", ".", ".."])
+def test_run_refuses_an_unsafe_run_id_and_creates_no_run(tmp_path, capsys, run_id):
+    vault = tmp_path / "vault"
+    assert main(["run", run_id, str(SCENARIO_A_PLAN), "--vault", str(vault)]) == 1
+    assert "not filesystem-safe" in capsys.readouterr().err
+    assert not (vault / "runs").exists()
+
+
+def test_run_data_without_target_is_a_usage_error_before_the_data_is_read(tmp_path, capsys):
+    args = ["run", "r", str(SCENARIO_A_PLAN), "--data", str(tmp_path / "missing.csv"),
+            "--vault", str(tmp_path / "vault")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "usage error: --target is required when --data is given\n"
+
+
 def test_run_unwritable_vault_exits_one(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not dir")

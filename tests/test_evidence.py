@@ -63,12 +63,6 @@ def test_open_session_creates_run_directory(tmp_path):
     assert session.run_dir.is_dir()
 
 
-def test_open_session_generates_id_when_absent(tmp_path):
-    session = open_session(vault_root=tmp_path)
-    assert session.run_id
-    assert session.run_dir.is_dir()
-
-
 def test_run_id_collision_appends_suffix(tmp_path):
     open_session("credit-scoring", vault_root=tmp_path)
     second = open_session("credit-scoring", vault_root=tmp_path)
@@ -107,9 +101,11 @@ def test_concurrent_sessions_with_one_id_each_get_their_own_directory(tmp_path):
     )
 
 
-def test_unsafe_run_id_rejected(tmp_path):
+@pytest.mark.parametrize("run_id", ["../escape", "a\n", ".", ".."])
+def test_unsafe_run_id_rejected(tmp_path, run_id):
     with pytest.raises(InvalidRunId):
-        open_session("../escape", vault_root=tmp_path)
+        open_session(run_id, vault_root=tmp_path)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_unwritable_vault_root(tmp_path):
@@ -145,7 +141,7 @@ def test_empty_file_has_canonical_sha256(session, tmp_path):
 def test_abc_file_has_canonical_sha256(session, tmp_path):
     source = tmp_path / "abc.txt"
     source.write_bytes(b"abc")
-    record = record_artifact(session, source, logical_name="abc", role=ArtifactRole.INPUT_DATA)
+    record = record_artifact(session, source, role=ArtifactRole.INPUT_DATA)
     assert record.sha256 == SHA256_ABC
     assert record.byte_size == 3
     assert record.role is ArtifactRole.INPUT_DATA

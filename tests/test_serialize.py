@@ -120,13 +120,6 @@ def test_poam_without_its_results_uuid_map_fails_closed(scenario_a_plan, scenari
     assert paired[0] == paired[1]
 
 
-def test_seed_namespace_changes_deterministic_uuids(pre_report):
-    doc = pre_report.assessment_results
-    first, _ = determinize(doc, seed_namespace="audit-2026")
-    second, _ = determinize(doc, seed_namespace="audit-2027")
-    assert first.uuid != second.uuid
-
-
 def test_results_round_trip_through_canonical_json(pre_report):
     doc, _ = determinize(pre_report.assessment_results)
     rebuilt = parse_results_document(serialize_canonical(doc))
