@@ -7,9 +7,8 @@ trailing newline. Two serializations of the same document are byte-equal.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import math
-import uuid as uuid_module
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
 
@@ -111,16 +110,27 @@ def utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-#: The one namespace of every name-based uuid (RFC 4122 §4.3): the first
-#: 16 bytes of SHA-256("oscal-assure"). Every `--deterministic` document
-#: pins the uuids it gives, so it never changes.
-_UUID_NAMESPACE = uuid_module.UUID(bytes=hashlib.sha256(b"oscal-assure").digest()[:16])
+@functools.cache
+def _uuid_namespace():
+    """The one namespace of every name-based uuid (RFC 4122 §4.3): the
+    first 16 bytes of SHA-256("oscal-assure"). Every `--deterministic`
+    document pins the uuids it gives, so it never changes."""
+    import hashlib
+    import uuid
+
+    return uuid.UUID(bytes=hashlib.sha256(b"oscal-assure").digest()[:16])
 
 
+# uuid is imported where a uuid is made: a command that makes none (report)
+# never loads it
 def name_uuid(content_path: str) -> str:
     """Name-based uuid for one content path."""
-    return str(uuid_module.uuid5(_UUID_NAMESPACE, content_path))
+    import uuid
+
+    return str(uuid.uuid5(_uuid_namespace(), content_path))
 
 
 def random_uuid() -> str:
-    return str(uuid_module.uuid4())
+    import uuid
+
+    return str(uuid.uuid4())

@@ -8,32 +8,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
-import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .enforcement import (
-    PhaseReport,
-    VerdictOutcome,
-    enforce_phase,
-    read_columns,
-    trace_chain,
-    unbound_controls,
-)
 from .canonical import canonical_json_bytes
 from .errors import DataError, MalformedDocument, OscalAssureError, PolicyError
-from .evidence import (
-    ArtifactRole,
-    HashingReader,
-    capture_environment,
-    finalize_session,
-    ingest_dependency_manifest,
-    open_session,
-    record_artifact,
-    write_files,
-)
-from .metrics import MetricContext, default_registry
 from .plan import (
     AssessmentPlan,
     ControlSpec,
@@ -50,7 +32,41 @@ from .serialize import (
     parse_results_document,
     serialize_canonical,
 )
-from .tabular import DataTable, EMPTY_TABLE, RoleBindings, bind_roles, load_table
+
+if TYPE_CHECKING:
+    from .enforcement import PhaseReport
+    from .tabular import DataTable, RoleBindings
+
+#: The names taken from the layers that only enforce, run and trace use, by
+#: module. main binds them on the first dispatch of one of those commands,
+#: so validate and report never load them; `cli.<name>` binds them too. A
+#: name already set on this module (a test's patch, a span wrapper) is kept.
+_LAYER_NAMES = {
+    "enforcement": (
+        "VerdictOutcome", "enforce_phase", "read_columns", "trace_chain", "unbound_controls",
+    ),
+    "evidence": (
+        "ArtifactRole", "HashingReader", "capture_environment", "finalize_session",
+        "ingest_dependency_manifest", "open_session", "record_artifact", "write_files",
+    ),
+    "metrics": ("MetricContext", "default_registry"),
+    "tabular": ("EMPTY_TABLE", "bind_roles", "load_table"),
+}
+
+
+def _bind_layers() -> None:
+    for module, names in _LAYER_NAMES.items():
+        layer = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _LAYER_NAMES.values()):
+        _bind_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -486,6 +502,7 @@ def cmd_trace(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="oscal-assure", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="show monitor-mode log lines")
+    parser.set_defaults(layers=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse a policy and list its properties")
@@ -502,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--mode-override", choices=[m.value for m in EnforcementMode], default=None
     )
-    p.set_defaults(func=cmd_enforce)
+    p.set_defaults(func=cmd_enforce, layers=True)
 
     p = sub.add_parser("run", help="evidence session around enforcement")
     p.add_argument("run_id")
@@ -518,7 +535,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--mode-override", choices=[m.value for m in EnforcementMode], default=None
     )
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, layers=True)
 
     p = sub.add_parser("report", help="render an assessment-results document")
     p.add_argument("results")
@@ -529,20 +546,42 @@ def build_parser() -> _Parser:
     p.add_argument("policy")
     p.add_argument("control_id")
     p.add_argument("--labels", default=None, help="JSON file mapping ids to labels")
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func=cmd_trace, layers=True)
 
     return parser
+
+
+@contextlib.contextmanager
+def _logging_to_stderr(verbose: bool):
+    """Log the package's records at INFO with --verbose, else at WARNING.
+    Where no handler would take them (the process has not configured
+    logging) they go to this call's stderr, one line each. Both are undone
+    on exit, so a later in-process call logs to its own stream and level."""
+    import logging
+
+    logger = logging.getLogger(__package__)
+    level = logger.level
+    logger.setLevel(logging.INFO if verbose else logging.WARNING)
+    handler = None
+    if not logger.hasHandlers():
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
-        return args.func(args)
+        if not args.layers:
+            return args.func(args)
+        _bind_layers()
+        with _logging_to_stderr(args.verbose):
+            return args.func(args)
     except _Exit as exc:
         print(exc, file=sys.stderr)
         return exc.code

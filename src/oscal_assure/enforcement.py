@@ -78,6 +78,8 @@ class EnforcementAction(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """One control's outcome in one phase, with the records that back it and the action taken."""
+
     control_id: str
     outcome: VerdictOutcome
     skip_reason: SkipReason | None
@@ -106,6 +108,8 @@ class TraceChain:
 
 @dataclass(frozen=True)
 class PhaseReport:
+    """The verdicts of one lifecycle phase and the documents built from them."""
+
     phase: LifecyclePhase
     verdicts: tuple[Verdict, ...]
     assessment_results: AssessmentResults

@@ -49,6 +49,8 @@ class ArtifactRole(str, Enum):
 
 @dataclass(frozen=True)
 class ArtifactRecord:
+    """One file hashed into the vault: its name, path, SHA-256, size and role."""
+
     logical_name: str
     path: str
     sha256: str
@@ -58,6 +60,8 @@ class ArtifactRecord:
 
 @dataclass(frozen=True)
 class EnvFingerprint:
+    """The platform and runtime a run executed on, and the digest of them."""
+
     os_name: str
     os_version: str
     architecture: str
@@ -68,12 +72,16 @@ class EnvFingerprint:
 
 @dataclass(frozen=True)
 class BomComponent:
+    """One pinned dependency of a dependency manifest."""
+
     name: str
     version: str
 
 
 @dataclass(frozen=True)
 class DependencyBom:
+    """The components of an ingested dependency manifest, in manifest order."""
+
     components: tuple[BomComponent, ...]
 
 
@@ -99,6 +107,8 @@ class RunSession:
 
 @dataclass(frozen=True)
 class EvidenceBundle:
+    """A finalized session: whether any phase ran, and the vault files written."""
+
     session: RunSession
     handshake_ok: bool
     written_files: tuple[str, ...]

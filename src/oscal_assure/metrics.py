@@ -38,6 +38,8 @@ class MetricContext:
 
 @dataclass(frozen=True)
 class MetricOutcome:
+    """A metric's value, its per-group rates if it has them, and the rows it excluded."""
+
     value: float
     per_group: dict[str, float] | None = None
     excluded_rows: int = 0
@@ -48,6 +50,8 @@ MetricFunction = Callable[[MetricContext], MetricOutcome]
 
 @dataclass(frozen=True)
 class RegistryEntry:
+    """A registered metric function and the roles it needs bound."""
+
     fn: MetricFunction
     required_roles: frozenset[str]
 

@@ -20,8 +20,6 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import NamedTuple
 
-import yaml
-
 from .canonical import DETERMINISTIC_EPOCH, name_uuid, parse_timestamp
 from .errors import (
     DuplicateControlId,
@@ -32,8 +30,9 @@ from .errors import (
 )
 
 #: PyYAML's libyaml-backed safe loader when it is built in (about ten
-#: times faster on a plan), else the pure-Python one.
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+#: times faster on a plan), else the pure-Python one. Set by the first YAML
+#: document, which is what imports PyYAML: a JSON document never loads it.
+_YAML_LOADER = None
 
 #: Deepest nesting a YAML plan may have. Both loaders compose nodes
 #: recursively: the pure-Python one raises RecursionError a few hundred
@@ -178,6 +177,8 @@ class ControlSpec:
 
 @dataclass(frozen=True)
 class AssessmentPlan:
+    """A parsed OSCAL assessment plan: its metadata and its controls, in document order."""
+
     uuid: str
     title: str
     version: str
@@ -373,6 +374,11 @@ def timestamp(payload: dict, key: str) -> datetime:
 
 
 def _load_yaml(source: bytes):
+    global _YAML_LOADER
+    import yaml
+
+    if _YAML_LOADER is None:
+        _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     depth = 0
     for event in yaml.parse(source, Loader=_YAML_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
@@ -398,6 +404,8 @@ def document_body(source: bytes, format: str, root: str) -> dict:
         except (ValueError, RecursionError) as exc:
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
     elif format == "yaml":
+        import yaml
+
         try:
             document = _load_yaml(source)
         except (yaml.YAMLError, ValueError, RecursionError) as exc:

@@ -27,6 +27,8 @@ class RiskStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Observation:
+    """An OSCAL observation: one measured metric value, overall or for one stratum."""
+
     uuid: str
     title: str
     description: str
@@ -42,6 +44,8 @@ class Observation:
 
 @dataclass(frozen=True)
 class Finding:
+    """An OSCAL finding: a control's status and the observations behind it."""
+
     uuid: str
     title: str
     target_control_id: str
@@ -52,6 +56,8 @@ class Finding:
 
 @dataclass(frozen=True)
 class Risk:
+    """An OSCAL risk opened by a failed finding, with the facets that describe the failure."""
+
     uuid: str
     title: str
     status: RiskStatus
@@ -68,6 +74,8 @@ class Risk:
 
 @dataclass(frozen=True)
 class ResultBlock:
+    """One OSCAL `result`: the observations, findings and risks of one phase's assessment."""
+
     uuid: str
     title: str
     start: datetime
@@ -80,6 +88,8 @@ class ResultBlock:
 
 @dataclass(frozen=True)
 class AssessmentResults:
+    """An OSCAL assessment-results document."""
+
     uuid: str
     title: str
     version: str
@@ -95,6 +105,8 @@ class AssessmentResults:
 
 @dataclass(frozen=True)
 class PoamItem:
+    """One POA&M item: the remediation of one risk."""
+
     uuid: str
     title: str
     description: str
@@ -105,6 +117,8 @@ class PoamItem:
 
 @dataclass(frozen=True)
 class PoamDocument:
+    """An OSCAL plan of action and milestones (POA&M) document."""
+
     uuid: str
     title: str
     version: str
@@ -114,6 +128,8 @@ class PoamDocument:
 
 @dataclass(frozen=True)
 class StructuralViolation:
+    """One broken structural rule of a document, with the path where it breaks."""
+
     path: str
     rule: str
     message: str

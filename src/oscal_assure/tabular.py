@@ -119,6 +119,9 @@ class DataTable:
 
     column_names: tuple[str, ...]
     column_types: tuple[ColumnType, ...]
+    # an init field that reads through the `columns` property below, so that
+    # dataclasses.replace carries a table's cells to the new table
+    columns: tuple[tuple[Cell, ...], ...]
     row_count: int
     codes: tuple[memoryview, ...] = field(init=False, repr=False)
     dictionaries: tuple[tuple[Cell, ...], ...] = field(init=False, repr=False)
@@ -157,6 +160,12 @@ class DataTable:
         object.__setattr__(self, "row_count", row_count)
         object.__setattr__(self, "codes", tuple(codes for codes, _ in columns))
         object.__setattr__(self, "dictionaries", tuple(entries for _, entries in columns))
+
+    def __repr__(self) -> str:  # the cells are left out
+        return (
+            f"DataTable(column_names={self.column_names!r}, "
+            f"column_types={self.column_types!r}, row_count={self.row_count!r})"
+        )
 
     def __reduce__(self):
         # a memoryview does not pickle, so a table pickles as its cells

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import json
+import logging
 import shutil
 import weakref
 from pathlib import Path
@@ -884,3 +887,59 @@ def test_trace_control_without_ids_prints_control_line_only(capsys):
 def test_trace_unknown_control_exits_one(capsys):
     assert main(["trace", str(SCENARIO_A_PLAN), "not-a-control"]) == 1
     assert "unknown control" in capsys.readouterr().err
+
+
+# --- log lines ------------------------------------------------------------------
+
+AGE_DI_FAILS = (
+    "oscal_assure.enforcement: control credit-age-di not satisfied: "
+    "disparate_impact gt 0.5 (value 0.2855005237168936)"
+)
+
+
+@contextlib.contextmanager
+def logging_unconfigured():
+    """The root logger as in a process that never configured logging
+    (pytest gives it capture handlers); its handlers and level come back."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        yield
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+
+
+def stderr_of(argv: list[str]) -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        main(argv)
+    return err.getvalue()
+
+
+def test_each_in_process_call_logs_to_its_own_stderr(tmp_path):
+    # logging.basicConfig kept the first call's stream for every later call
+    argv = enforce_args(tmp_path, "--mode-override", "warn", "--phase", "training")
+    with logging_unconfigured():
+        first, second = stderr_of(argv), stderr_of(argv)
+    assert first == second == f"WARNING {AGE_DI_FAILS} [warn]\n"
+
+
+def test_verbose_logs_monitor_lines_after_a_quiet_call(tmp_path):
+    # the first call's WARNING level outlived it, so --verbose printed nothing
+    with logging_unconfigured():
+        quiet = stderr_of(enforce_args(tmp_path, "--mode-override", "monitor"))
+        verbose = stderr_of(["--verbose", *enforce_args(tmp_path, "--mode-override", "monitor")])
+    assert quiet == ""
+    assert verbose == f"INFO {AGE_DI_FAILS} [monitor]\n"
+
+
+def test_a_process_that_configured_logging_gets_the_records(tmp_path, caplog, capsys):
+    # the records go to its handlers, at the call's level, and not to stderr
+    assert main(["--verbose", *enforce_args(tmp_path, "--mode-override", "monitor")]) == 0
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("INFO", AGE_DI_FAILS.split(": ", 1)[1] + " [monitor]")
+    ]
+    assert capsys.readouterr().err == ""
+    assert logging.getLogger("oscal_assure").level == logging.NOTSET

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import math
@@ -186,6 +187,21 @@ def test_tables_compare_and_hash_by_their_cells():
     assert table != load_table(b"g,x,n\na,1.5,1\nb,,2\na,1.5,2\n")
     assert table != load_table(b"g,x,m\na,1.5,1\nb,,2\na,1.5,1\n")
     assert table != table.columns
+
+
+def test_replace_carries_the_cells_of_a_table():
+    # the cells are not stored as a field, so replace used to call
+    # DataTable() without them and raised a TypeError
+    table = load_table(b"g,y\na,1\nb,0\n")
+    renamed = dataclasses.replace(table, column_names=("h", "z"))
+    assert renamed == DataTable(("h", "z"), table.column_types, (("a", "b"), (1, 0)), 2)
+    assert dataclasses.replace(table, row_count=2) == table
+    assert dataclasses.replace(table, columns=(("b", "a"), (0, 1))).column("y") == (0, 1)
+    # the repr leaves out the cells, which the columns field would decode
+    assert repr(table) == (
+        "DataTable(column_names=('g', 'y'), column_types=(<ColumnType.CATEGORICAL: "
+        "'categorical'>, <ColumnType.INTEGER: 'integer'>), row_count=2)"
+    )
 
 
 def test_dump_table_decodes_the_table_once():
