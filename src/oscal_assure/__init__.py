@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 #: Each public name, by the module that defines it.
 _EXPORTS = {
     "enforcement": (
-        "EnforcementAction", "PhaseReport", "SkipReason", "TraceChain", "Verdict",
-        "VerdictOutcome", "combine_reports", "compare", "enforce_phase", "evaluate_control",
-        "generate_poam", "select_controls", "trace_chain",
+        "EnforcementAction", "PhaseReport", "SkipReason", "Verdict", "VerdictOutcome",
+        "combine_reports", "compare", "enforce_phase", "evaluate_control", "generate_poam",
+        "select_controls",
     ),
     "errors": ("BlockingControlFailure", "OscalAssureError", "PolicyDataMismatch", "PolicyError"),
     "evidence": (
@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "plan": (
         "AssessmentPlan", "ControlSpec", "EnforcementMode", "EvaluationMethod", "EvaluationWindow",
-        "LifecyclePhase", "Operator", "PropertyEntry", "Severity", "TargetType",
-        "extract_control_spec", "parse_plan_document",
+        "LifecyclePhase", "Operator", "PropertyEntry", "Severity", "TargetType", "TraceChain",
+        "extract_control_spec", "parse_plan_document", "trace_chain",
     ),
     "results": (
         "AssessmentResults", "Finding", "FindingStatus", "Observation", "PoamDocument", "Risk",

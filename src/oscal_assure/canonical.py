@@ -1,4 +1,5 @@
-"""Canonical JSON encoding, timestamp formatting, and name-based uuids.
+"""Canonical JSON encoding, the text of a scalar, timestamp formatting, and
+name-based uuids.
 
 Canonical form: UTF-8, LF line endings, 2-space indentation, keys in the
 order the document builders insert them, floats in shortest-repr form,
@@ -85,6 +86,19 @@ def _encode(value, parts: list[str], newline: str) -> None:
         parts.append(newline + "}")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def cell_token(value: int | float | bool | str | None) -> str:
+    """The one text of a scalar, shared by table labels, positive-label
+    matching and document fields: None is "", a bool true/false, a float
+    its shortest repr, anything else str()."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def format_timestamp(moment: datetime) -> str:

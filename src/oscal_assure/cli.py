@@ -24,6 +24,7 @@ from .plan import (
     control_properties,
     parse_plan_document,
     text,
+    trace_chain,
 )
 from .results import validate_document_structure
 from .serialize import (
@@ -37,13 +38,13 @@ if TYPE_CHECKING:
     from .enforcement import PhaseReport
     from .tabular import DataTable, RoleBindings
 
-#: The names taken from the layers that only enforce, run and trace use, by
-#: module. main binds them on the first dispatch of one of those commands,
-#: so validate and report never load them; `cli.<name>` binds them too. A
+#: The names taken from the layers that only enforce and run use, by module.
+#: main binds them on the first dispatch of one of those commands, so
+#: validate, report and trace never load them; `cli.<name>` binds them too. A
 #: name already set on this module (a test's patch, a span wrapper) is kept.
 _LAYER_NAMES = {
     "enforcement": (
-        "VerdictOutcome", "enforce_phase", "read_columns", "trace_chain", "unbound_controls",
+        "VerdictOutcome", "enforce_phase", "read_columns", "unbound_controls",
     ),
     "evidence": (
         "ArtifactRole", "HashingReader", "capture_environment", "finalize_session",
@@ -149,7 +150,7 @@ def _build_bindings(args, table: DataTable) -> RoleBindings:
     )
 
 
-def _add_binding_flags(parser: argparse.ArgumentParser, target_required: bool) -> None:
+def _add_evaluation_flags(parser: argparse.ArgumentParser, target_required: bool) -> None:
     parser.add_argument(
         "--target",
         required=target_required,
@@ -161,6 +162,10 @@ def _add_binding_flags(parser: argparse.ArgumentParser, target_required: bool) -
         "--prediction", metavar="COL:POS", help="prediction column and its positive label"
     )
     parser.add_argument("--weight", metavar="COL", help="sample weight column")
+    parser.add_argument("--deterministic", action="store_true")
+    parser.add_argument(
+        "--mode-override", choices=[m.value for m in EnforcementMode], default=None
+    )
 
 
 def _default_phase(bindings: RoleBindings) -> LifecyclePhase:
@@ -513,28 +518,20 @@ def build_parser() -> _Parser:
     p.add_argument("policy")
     p.add_argument("data")
     p.add_argument("--phase", choices=[m.value for m in LifecyclePhase])
-    _add_binding_flags(p, target_required=True)
+    _add_evaluation_flags(p, target_required=True)
     p.add_argument("--out", default=".", help="directory for output documents")
-    p.add_argument("--deterministic", action="store_true")
-    p.add_argument(
-        "--mode-override", choices=[m.value for m in EnforcementMode], default=None
-    )
     p.set_defaults(func=cmd_enforce, layers=True)
 
     p = sub.add_parser("run", help="evidence session around enforcement")
     p.add_argument("run_id")
     p.add_argument("policy")
     p.add_argument("--data", default=None)
-    _add_binding_flags(p, target_required=False)
+    _add_evaluation_flags(p, target_required=False)
     p.add_argument("--hash", action="append", metavar="PATH",
                    help="artifact to hash into the evidence bundle (repeatable)")
     p.add_argument("--bom", default=None, metavar="LOCKFILE",
                    help="dependency manifest to ingest as a CycloneDX-subset BOM")
     p.add_argument("--vault", default=None, help="vault root (overrides OSCAL_ASSURE_VAULT)")
-    p.add_argument("--deterministic", action="store_true")
-    p.add_argument(
-        "--mode-override", choices=[m.value for m in EnforcementMode], default=None
-    )
     p.set_defaults(func=cmd_run, layers=True)
 
     p = sub.add_parser("report", help="render an assessment-results document")
@@ -546,7 +543,7 @@ def build_parser() -> _Parser:
     p.add_argument("policy")
     p.add_argument("control_id")
     p.add_argument("--labels", default=None, help="JSON file mapping ids to labels")
-    p.set_defaults(func=cmd_trace, layers=True)
+    p.set_defaults(func=cmd_trace)
 
     return parser
 

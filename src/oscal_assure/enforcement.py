@@ -1,6 +1,6 @@
 """Plan execution for one lifecycle phase: control selection, metric
 evaluation, threshold comparison, observation/finding/risk assembly,
-enforcement modes, POA&M generation, and traceability chains.
+enforcement modes and POA&M generation.
 
 Failures never pass silently: evaluation errors become not-satisfied
 findings with an evaluation-error remark and still raise a Risk.
@@ -15,22 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .canonical import random_uuid, utc_now
-from .errors import (
-    BlockingControlFailure,
-    NonCategoricalColumn,
-    NotComputable,
-    OscalAssureError,
-    PolicyDataMismatch,
-)
-from .metrics import (
-    JointCount,
-    MetricContext,
-    MetricOutcome,
-    MetricRegistry,
-    count_rows,
-    is_builtin,
-    role_bound,
-)
+from .errors import BlockingControlFailure, NotComputable, OscalAssureError, PolicyDataMismatch
+from .metrics import JointCount, MetricContext, MetricOutcome, MetricRegistry, count_rows
 from .plan import (
     AssessmentPlan,
     ControlSpec,
@@ -53,7 +39,7 @@ from .results import (
     Risk,
     RiskStatus,
 )
-from .tabular import ColumnType, stratify
+from .tabular import stratify, stratum_encoding
 
 logger = logging.getLogger(__name__)
 
@@ -94,16 +80,6 @@ class Verdict:
             if obs.observed_value is not None:
                 return obs.observed_value
         return None
-
-
-@dataclass(frozen=True)
-class TraceChain:
-    """Upward (kind, id) links from a control, in treatment -> risk ->
-    objective -> policy order; absent links are omitted, never fabricated."""
-
-    control_id: str
-    links: tuple[tuple[str, str], ...] = ()
-    resolved_labels: dict[str, str] = dataclasses.field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -176,19 +152,10 @@ def missing_roles(spec: ControlSpec, ctx: MetricContext, registry: MetricRegistr
     """Roles a control needs that the context does not provide."""
     if skip_reason(spec) is not None:
         return []
-    spec_ctx = control_context(spec, ctx)
     try:
-        required = registry.required_roles(spec.metric_key, spec_ctx.evaluate_on)
+        return registry.missing_roles(spec.metric_key, control_context(spec, ctx))
     except OscalAssureError:
         return []  # unknown metric key: surfaces as an evaluation error later
-    return sorted(role for role in required if not role_bound(spec_ctx, role))
-
-
-def _reads_joint_count(spec: ControlSpec, registry: MetricRegistry) -> bool:
-    try:
-        return is_builtin(registry.entry(spec.metric_key).fn)
-    except OscalAssureError:
-        return False  # unknown metric key: surfaces as an evaluation error later
 
 
 def read_columns(
@@ -210,7 +177,9 @@ def _with_joint_count(
     built-in controls among specs may read: the bound roles, group
     overrides and stratify_by columns, plus the weight. A column the table
     lacks is left out, so only the control that names it fails on it."""
-    readers = [s for s in specs if skip_reason(s) is None and _reads_joint_count(s, registry)]
+    readers = [
+        s for s in specs if skip_reason(s) is None and registry.reads_joint_count(s.metric_key)
+    ]
     b = ctx.bindings
     if not readers or b is None:
         return ctx
@@ -223,10 +192,7 @@ def _with_joint_count(
 def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]]:
     """stratify's strata as shares of ctx.joint: same labels, order and
     errors (a missing cell and "" share the label ""), and no copied row."""
-    if ctx.table.column_type(by) is not ColumnType.CATEGORICAL:
-        raise NonCategoricalColumn(
-            f"column {by!r} is {ctx.table.column_type(by).value}, stratification needs categorical"
-        )
+    stratum_encoding(ctx.table, by)  # refuses a column stratify refuses
     joint = ctx.joint
     at = joint.names.index(by)
     buckets: dict[str, dict] = {}
@@ -323,7 +289,7 @@ def _evaluate_strata(
     phase goes on and the control cannot pass on no evidence. Built-in
     metrics read strata of ctx.joint when it is set; otherwise each stratum
     is a stratified table."""
-    if not _reads_joint_count(spec, registry):
+    if not registry.reads_joint_count(spec.metric_key):
         ctx = dataclasses.replace(ctx, joint=None)
     if spec.stratify_by is None:
         strata = [(None, ctx)]
@@ -563,21 +529,3 @@ def combine_reports(
     )
     return merged, poam
 
-
-def trace_chain(
-    spec: ControlSpec, labels: dict[str, str] | None = None
-) -> TraceChain:
-    """Assemble the traceability chain from the control's optional id
-    fields, resolving labels from a side-loaded id->label registry."""
-    links = tuple(
-        (kind, value)
-        for kind, value in (("treatment", spec.treatment_id), ("risk", spec.risk_id),
-                            ("objective", spec.objective_id), ("policy", spec.policy_id))
-        if value is not None
-    )
-    labels = labels or {}
-    return TraceChain(
-        control_id=spec.control_id,
-        links=links,
-        resolved_labels={value: labels[value] for _, value in links if value in labels},
-    )

@@ -18,8 +18,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable
 
+from .canonical import cell_token
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
-from .tabular import DataTable, RoleBindings, cell_token, code_format
+from .tabular import DataTable, RoleBindings, code_format
 
 
 @dataclass(frozen=True)
@@ -78,22 +79,24 @@ class MetricRegistry:
         except KeyError:
             raise UnknownMetricKey(f"no metric registered under {key!r}") from None
 
-    def required_roles(self, key: str, evaluate_on: str = "target") -> frozenset[str]:
-        """Concrete roles for one evaluation side ('subject' resolved)."""
-        return frozenset(
-            evaluate_on if role == "subject" else role for role in self.entry(key).required_roles
-        )
+    def missing_roles(self, key: str, ctx: MetricContext) -> list[str]:
+        """The roles metric `key` needs that ctx leaves unbound, sorted;
+        'subject' is the side ctx evaluates."""
+        roles = self.entry(key).required_roles
+        concrete = {ctx.evaluate_on if role == "subject" else role for role in roles}
+        return sorted(role for role in concrete if not role_bound(ctx, role))
+
+    def reads_joint_count(self, key: str) -> bool:
+        """Whether metric `key` is a built-in, which reads ctx.joint when
+        set; False for an unknown key."""
+        entry = self._entries.get(key)
+        return entry is not None and any(entry.fn is fn for _, fn, _ in _BUILTINS)
 
     def evaluate(self, key: str, ctx: MetricContext) -> MetricOutcome:
-        entry = self.entry(key)
-        missing = [
-            role
-            for role in sorted(self.required_roles(key, ctx.evaluate_on))
-            if not role_bound(ctx, role)
-        ]
+        missing = self.missing_roles(key, ctx)
         if missing:
             raise MissingRole(f"metric {key!r} needs unbound role(s): {', '.join(missing)}")
-        outcome = entry.fn(ctx)
+        outcome = self._entries[key].fn(ctx)
         if not math.isfinite(outcome.value):
             raise NotComputable(f"metric {key!r} produced a non-finite value")
         return outcome
@@ -438,11 +441,6 @@ _BUILTINS = (
     ("specificity", specificity, {"target", "prediction"}),
     ("dice", dice, {"target", "prediction"}),
 )
-
-
-def is_builtin(fn: MetricFunction) -> bool:
-    """Whether fn is a built-in metric, which reads ctx.joint when set."""
-    return any(fn is builtin for _, builtin, _ in _BUILTINS)
 
 
 def default_registry() -> MetricRegistry:

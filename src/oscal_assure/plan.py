@@ -1,4 +1,5 @@
-"""OSCAL assessment-plan subset: parsing and the 16 AI-assurance properties.
+"""OSCAL assessment-plan subset: parsing, the 16 AI-assurance properties,
+and each control's traceability chain.
 
 A plan document is JSON or YAML with an ``assessment-plan`` root holding
 metadata and ``control-implementations[].implemented-requirements[]``
@@ -7,8 +8,9 @@ into a ControlSpec. Unknown properties are preserved opaquely.
 
 The readers here are shared by every OSCAL document parser (results and
 POA&Ms in serialize): one loader that checks the root, one check per
-nested object or list, and one rule that turns a scalar into text, under
-which null reads as absent.
+nested object or list, and one rule that turns a scalar into text
+(canonical.cell_token, the spelling of table labels too), under which null
+reads as absent.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import NamedTuple
 
-from .canonical import DETERMINISTIC_EPOCH, name_uuid, parse_timestamp
+from .canonical import DETERMINISTIC_EPOCH, cell_token, name_uuid, parse_timestamp
 from .errors import (
     DuplicateControlId,
     InvalidEnumValue,
@@ -198,7 +200,7 @@ class AssessmentPlan:
         return [p for p in PHASE_ORDER if p in present]
 
 
-def normalize_operator(token: str, control_id: str = "?") -> Operator:
+def normalize_operator(token: str, control_id: str) -> Operator:
     """Accept symbolic ('>=') and word ('ge') forms, normalized to words."""
     stripped = token.strip()
     if stripped in _OPERATOR_ALIASES:
@@ -298,23 +300,18 @@ def extract_control_spec(
 
 
 def text(value, what: str, default: str | None = "") -> str | None:
-    """A scalar field as text: absent or null reads as `default`, a bool
-    as true/false and a float in its shortest repr. A list or mapping is
-    refused rather than passed through str(), which would expand every YAML
-    alias in it: a few hundred bytes of nested aliases can stand for
-    gigabytes of text."""
+    """A scalar field as text: absent or null reads as `default`, any other
+    scalar as cell_token spells it. A list or mapping is refused rather than
+    passed through str(), which would expand every YAML alias in it: a few
+    hundred bytes of nested aliases can stand for gigabytes of text."""
     if isinstance(value, str):
         return value
     if value is None:
         return default
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, (dict, list)):
         kind = "mapping" if isinstance(value, dict) else "list"
         raise MalformedDocument(f"{what} must be a scalar, not a {kind}")
-    return str(value)
+    return cell_token(value)
 
 
 def nested(payload: dict, key: str, kind: type[dict] | type[list]):
@@ -456,7 +453,7 @@ def control_properties(spec: ControlSpec) -> list[PropertyEntry]:
     entries = [
         PropertyEntry("metric_key", spec.metric_key),
         PropertyEntry("operator", spec.operator.value),
-        PropertyEntry("threshold", repr(spec.threshold)),
+        PropertyEntry("threshold", cell_token(spec.threshold)),
     ]
     for name in _ENUM_PROPS:
         entries.append(PropertyEntry(name, getattr(spec, name).value))
@@ -476,3 +473,32 @@ def control_properties(spec: ControlSpec) -> list[PropertyEntry]:
     )
     entries.extend(spec.extra_props)
     return entries
+
+
+@dataclass(frozen=True)
+class TraceChain:
+    """Upward (kind, id) links from a control, in treatment -> risk ->
+    objective -> policy order; absent links are omitted, never fabricated."""
+
+    control_id: str
+    links: tuple[tuple[str, str], ...] = ()
+    resolved_labels: dict[str, str] = field(default_factory=dict)
+
+
+def trace_chain(
+    spec: ControlSpec, labels: dict[str, str] | None = None
+) -> TraceChain:
+    """Assemble the traceability chain from the control's optional id
+    fields, resolving labels from a side-loaded id->label registry."""
+    links = tuple(
+        (kind, value)
+        for kind, value in (("treatment", spec.treatment_id), ("risk", spec.risk_id),
+                            ("objective", spec.objective_id), ("policy", spec.policy_id))
+        if value is not None
+    )
+    labels = labels or {}
+    return TraceChain(
+        control_id=spec.control_id,
+        links=links,
+        resolved_labels={value: labels[value] for _, value in links if value in labels},
+    )

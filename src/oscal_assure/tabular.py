@@ -18,6 +18,7 @@ from enum import Enum
 from itertools import count, repeat
 from typing import BinaryIO
 
+from .canonical import cell_token
 from .errors import (
     DataError,
     EmptyInput,
@@ -41,18 +42,6 @@ class ColumnType(str, Enum):
 
 
 _BOOL_TOKENS = {"true": True, "false": False}
-
-
-def cell_token(value: Cell) -> str:
-    """Canonical string form of a cell, used for labels and positive-label
-    matching across column types."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 #: A column as codes and dictionary: row i holds dictionary[codes[i]].
@@ -120,11 +109,12 @@ class DataTable:
     column_names: tuple[str, ...]
     column_types: tuple[ColumnType, ...]
     # an init field that reads through the `columns` property below, so that
-    # dataclasses.replace carries a table's cells to the new table
+    # dataclasses.replace carries a table's cells to the new table, and the
+    # generated __eq__ and __hash__ compare cells, however they are encoded
     columns: tuple[tuple[Cell, ...], ...]
     row_count: int
-    codes: tuple[memoryview, ...] = field(init=False, repr=False)
-    dictionaries: tuple[tuple[Cell, ...], ...] = field(init=False, repr=False)
+    codes: tuple[memoryview, ...] = field(init=False, repr=False, compare=False)
+    dictionaries: tuple[tuple[Cell, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -170,18 +160,6 @@ class DataTable:
     def __reduce__(self):
         # a memoryview does not pickle, so a table pickles as its cells
         return DataTable, (self.column_names, self.column_types, self.columns, self.row_count)
-
-    def _value(self) -> tuple:
-        return self.column_names, self.column_types, self.row_count, self.columns
-
-    def __eq__(self, other: object) -> bool:
-        # tables compare, and hash, by their cells, however they are encoded
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
 
     def _index(self, name: str) -> int:
         try:
@@ -371,7 +349,7 @@ def dump_table(table: DataTable) -> bytes:
     writer.writerow(table.column_names)
     # each dictionary entry is spelled once; the rows read the codes
     columns = [
-        map(["" if cell is None else cell_token(cell) for cell in dictionary].__getitem__, codes)
+        map(list(map(cell_token, dictionary)).__getitem__, codes)
         for codes, dictionary in zip(table.codes, table.dictionaries)
     ]
     writer.writerows(zip(*columns) if columns else repeat((), table.row_count))
@@ -461,16 +439,23 @@ def _subset(codes: memoryview, dictionary: tuple[Cell, ...], rows: list[int]) ->
     )
 
 
+def stratum_encoding(table: DataTable, by: str) -> Encoded:
+    """The encoding of the column that strata are cut by, which must be
+    categorical."""
+    ctype = table.column_type(by)
+    if ctype is not ColumnType.CATEGORICAL:
+        raise NonCategoricalColumn(
+            f"column {by!r} is {ctype.value}, stratification needs categorical"
+        )
+    return table.encoding(by)
+
+
 def stratify(table: DataTable, by: str) -> list[tuple[str, DataTable]]:
     """Partition rows by the distinct values of a categorical column.
 
     Strata are ordered by label and together cover every row exactly once.
     """
-    if table.column_type(by) is not ColumnType.CATEGORICAL:
-        raise NonCategoricalColumn(
-            f"column {by!r} is {table.column_type(by).value}, stratification needs categorical"
-        )
-    codes, dictionary = table.encoding(by)
+    codes, dictionary = stratum_encoding(table, by)
     groups: dict[int, list[int]] = {}
     for i, code in enumerate(codes):
         groups.setdefault(code, []).append(i)

@@ -272,9 +272,12 @@ def test_enforce_failed_write_leaves_neither_target_nor_temporary_file(
         raise OSError("disk full")
 
     monkeypatch.setattr(evidence.os, "replace", fail)
-    assert main(enforce_args(tmp_path)) == 1
+    with logging_unconfigured():  # so the block line reaches stderr too
+        assert main(enforce_args(tmp_path)) == 1
     target = tmp_path / "assessment-results.oscal.json"
-    assert capsys.readouterr().err == f"error: cannot write {target}: disk full\n"
+    assert capsys.readouterr().err == (
+        f"ERROR {AGE_DI_FAILS} [block]\nerror: cannot write {target}: disk full\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -290,25 +293,28 @@ def fail_staging(monkeypatch, name: str) -> None:
 
 
 @pytest.mark.parametrize(
-    "extra, failing",
+    "extra, failing, blocked",
     [
-        ((), "poam.oscal.json"),
+        ((), "poam.oscal.json", True),
         (("--phase", "validation", "--prediction", "prediction:good"),
-         "assessment-results.oscal.json"),
+         "assessment-results.oscal.json", False),
     ],
     ids=["blocked-again", "passing"],
 )
 def test_enforce_failed_write_keeps_the_earlier_results_and_poam(
-    tmp_path, monkeypatch, capsys, extra, failing
+    tmp_path, monkeypatch, capsys, extra, failing, blocked
 ):
     # every document is staged before the first rename, and a stale POA&M
     # goes only after the new results are in place
-    assert main(enforce_args(tmp_path)) == 2
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    fail_staging(monkeypatch, failing)
-    capsys.readouterr()
-    assert main(enforce_args(tmp_path, *extra)) == 1
-    assert capsys.readouterr().err == f"error: cannot write {tmp_path / failing}: disk full\n"
+    with logging_unconfigured():  # so a block line reaches stderr too
+        assert main(enforce_args(tmp_path)) == 2
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fail_staging(monkeypatch, failing)
+        capsys.readouterr()
+        assert main(enforce_args(tmp_path, *extra)) == 1
+    logged = f"ERROR {AGE_DI_FAILS} [block]\n" if blocked else ""
+    error = f"error: cannot write {tmp_path / failing}: disk full\n"
+    assert capsys.readouterr().err == logged + error
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -11,11 +11,11 @@ import sys
 
 import pytest
 
-from conftest import REPO_ROOT, SCENARIO_A_DATA, SCENARIO_A_PLAN
+from conftest import DEMO_DIR, REPO_ROOT, SCENARIO_A_DATA, SCENARIO_A_PLAN
 from oscal_assure.cli import main
 
-#: Modules that only enforce, run and trace need, and those that only
-#: making a uuid needs.
+#: Modules that neither report nor --help needs: the data, evaluation and
+#: vault layers, PyYAML, logging, and those that only making a uuid needs.
 EVALUATION_ONLY = (
     "oscal_assure.tabular",
     "oscal_assure.metrics",
@@ -37,14 +37,14 @@ def _fresh(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _loaded_after(statements: str) -> list[str]:
-    """The modules of EVALUATION_ONLY that `statements` loaded (not those
-    the interpreter's start-up loaded)."""
+def _loaded_after(statements: str, modules: tuple[str, ...] = EVALUATION_ONLY) -> list[str]:
+    """The modules among `modules` that `statements` loaded (not those the
+    interpreter's start-up loaded)."""
     return _fresh(
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
         f"{statements}\n"
-        f"print(json.dumps([m for m in {EVALUATION_ONLY!r} if m in set(sys.modules) - before]))"
+        f"print(json.dumps([m for m in {modules!r} if m in set(sys.modules) - before]))"
     )
 
 
@@ -63,6 +63,21 @@ def test_report_loads_no_evaluation_layer(results):
         "from oscal_assure import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['report', {results!r}, '--format', 'json']) == 0"
+    )
+    assert loaded == []
+
+
+def test_trace_loads_only_the_policy_layer():
+    # a trace chain is four ids of a ControlSpec: no data, metric,
+    # enforcement or vault code is needed to print it
+    argv = ["trace", str(DEMO_DIR / "credit-scoring.oscal.yaml"), "credit-gender-di",
+            "--labels", str(DEMO_DIR / "risk-register.json")]
+    loaded = _loaded_after(
+        "from oscal_assure import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0",
+        ("oscal_assure.tabular", "oscal_assure.metrics", "oscal_assure.enforcement",
+         "oscal_assure.evidence", "logging"),
     )
     assert loaded == []
 

@@ -65,6 +65,7 @@ from oscal_assure.plan import (
     LifecyclePhase,
     Operator,
     TargetType,
+    text,
 )
 from oscal_assure.results import FindingStatus
 from oscal_assure.tabular import _BOOL_TOKENS, Cell, ColumnType, DataTable, cell_token
@@ -1086,6 +1087,16 @@ def test_a_hand_built_mixed_column_keeps_its_cells(cells):
     # one object per type and repr
     assert len({id(cell) for cell in column}) == len(set(_typed(cells)))
     _assert_every_entry_is_held(table)
+
+
+@given(mixed_cells)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+def test_documents_and_table_labels_spell_a_scalar_alike(value):
+    # a document field and a table label holding one value read the same
+    assert text(value, "field") == cell_token(value)
 
 
 def _outcome(fn, *args):
