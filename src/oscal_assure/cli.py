@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .canonical import canonical_json_bytes
-from .errors import DataError, MalformedDocument, OscalAssureError, PolicyError
+from .errors import DataError, MalformedDocument, OscalAssureError, PolicyDataMismatch, PolicyError
 from .plan import (
     AssessmentPlan,
     ControlSpec,
@@ -36,16 +36,14 @@ from .serialize import (
 
 if TYPE_CHECKING:
     from .enforcement import PhaseReport
-    from .tabular import DataTable, RoleBindings
+    from .metrics import MetricContext
 
 #: The names taken from the layers that only enforce and run use, by module.
 #: main binds them on the first dispatch of one of those commands, so
 #: validate, report and trace never load them; `cli.<name>` binds them too. A
 #: name already set on this module (a test's patch, a span wrapper) is kept.
 _LAYER_NAMES = {
-    "enforcement": (
-        "VerdictOutcome", "enforce_phase", "read_columns", "unbound_controls",
-    ),
+    "enforcement": ("VerdictOutcome", "enforce_phase", "read_columns"),
     "evidence": (
         "ArtifactRole", "HashingReader", "capture_environment", "finalize_session",
         "ingest_dependency_manifest", "open_session", "record_artifact", "write_files",
@@ -73,6 +71,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BLOCKED = 2
 EXIT_INVALID_POLICY = 3
+
+_NO_PHASE = "no phase was executable with the given bindings."
 
 
 class _Exit(Exception):
@@ -125,29 +125,19 @@ def _read_columns(args, plan: AssessmentPlan) -> list[str]:
     return read_columns(plan.controls, [*flags, args.group, args.weight])
 
 
-def _load_data(args, plan: AssessmentPlan) -> tuple[DataTable, str]:
-    """The --data table, read once as a stream, and the SHA-256 of exactly
-    the bytes it was loaded from."""
+def _bind(args, plan: AssessmentPlan) -> tuple[MetricContext, str]:
+    """The --data table, read once as a stream and bound to the role flags,
+    and the SHA-256 of exactly the bytes it was loaded from."""
     with open(Path(args.data), "rb", buffering=0) as raw:
         stream = HashingReader(raw)
         table = load_table(stream, columns=_read_columns(args, plan))
-    return table, stream.hexdigest()
-
-
-def _build_bindings(args, table: DataTable) -> RoleBindings:
-    target_col, target_pos = _split_binding(args.target, "--target")
+    target, target_pos = _split_binding(args.target, "--target")
     prediction = prediction_pos = None
     if args.prediction:
         prediction, prediction_pos = _split_binding(args.prediction, "--prediction")
-    return bind_roles(
-        table,
-        target_col,
-        target_pos,
-        group=args.group,
-        prediction=prediction,
-        prediction_positive=prediction_pos,
-        weight=args.weight,
-    )
+    bindings = bind_roles(table, target, target_pos, group=args.group, prediction=prediction,
+                          prediction_positive=prediction_pos, weight=args.weight)
+    return MetricContext(table=table, bindings=bindings), stream.hexdigest()
 
 
 def _add_evaluation_flags(parser: argparse.ArgumentParser, target_required: bool) -> None:
@@ -165,14 +155,6 @@ def _add_evaluation_flags(parser: argparse.ArgumentParser, target_required: bool
     parser.add_argument("--deterministic", action="store_true")
     parser.add_argument(
         "--mode-override", choices=[m.value for m in EnforcementMode], default=None
-    )
-
-
-def _default_phase(bindings: RoleBindings) -> LifecyclePhase:
-    return (
-        LifecyclePhase.VALIDATION
-        if bindings.prediction is not None
-        else LifecyclePhase.TRAINING
     )
 
 
@@ -204,6 +186,31 @@ def _print_verdict_table(report: PhaseReport, plan: AssessmentPlan) -> None:
             f"{verdict.enforcement_action_taken.value}"
         )
     print()
+
+
+def _evaluate(
+    plan: AssessmentPlan,
+    phases: list[LifecyclePhase],
+    ctx: MetricContext,
+    mode_override: str | None,
+) -> list[PhaseReport]:
+    """The reports of the phases, in order, up to and including the first
+    blocked one, each verdict table printed as its phase ends. A phase
+    whose controls need roles that ctx does not bind is skipped with a note."""
+    registry = default_registry()
+    mode = EnforcementMode(mode_override) if mode_override else None
+    reports = []
+    for phase in phases:
+        try:
+            report = enforce_phase(plan, phase, ctx, registry, mode_override=mode)
+        except PolicyDataMismatch as exc:
+            print(f"phase {phase.value}: skipped, {exc}", file=sys.stderr)
+            continue
+        reports.append(report)
+        _print_verdict_table(report, plan)
+        if report.blocked:
+            break
+    return reports
 
 
 def _write_documents(report: PhaseReport, out_dir: Path, deterministic: bool) -> list[Path]:
@@ -244,25 +251,15 @@ def cmd_validate(args) -> int:
 
 def cmd_enforce(args) -> int:
     plan = _load_plan(args.policy)
+    ctx, _ = _bind(args, plan)
+    default = "training" if ctx.bindings.prediction is None else "validation"
+    phase = LifecyclePhase(args.phase or default)
 
-    try:
-        table, _ = _load_data(args, plan)
-        bindings = _build_bindings(args, table)
-        phase = (
-            LifecyclePhase(args.phase) if args.phase else _default_phase(bindings)
-        )
-        ctx = MetricContext(table=table, bindings=bindings)
-        mode_override = EnforcementMode(args.mode_override) if args.mode_override else None
-        report = enforce_phase(
-            plan, phase, ctx, default_registry(), mode_override=mode_override
-        )
-        written = _write_documents(report, Path(args.out), args.deterministic)
-    except (OscalAssureError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    _print_verdict_table(report, plan)
-    for path in written:
+    reports = _evaluate(plan, [phase], ctx, args.mode_override)
+    if not reports:
+        raise PolicyDataMismatch(_NO_PHASE)
+    report = reports[0]
+    for path in _write_documents(report, Path(args.out), args.deterministic):
         print(f"wrote {path}")
     if report.blocked:
         print("BLOCKED: a block-mode control failed; aborting.", file=sys.stderr)
@@ -272,17 +269,15 @@ def cmd_enforce(args) -> int:
 
 def cmd_run(args) -> int:
     plan = _load_plan(args.policy)
+    if not args.data:
+        ctx = MetricContext(table=EMPTY_TABLE, bindings=None)
+    elif not args.target:
+        raise _Exit("usage error: --target is required when --data is given")
+    else:
+        ctx, data_sha256 = _bind(args, plan)
 
-    registry = default_registry()
+    session = open_session(args.run_id, args.vault)
     try:
-        table = bindings = session = None
-        if args.data:
-            if not args.target:
-                raise _Exit("usage error: --target is required when --data is given")
-            table, data_sha256 = _load_data(args, plan)
-            bindings = _build_bindings(args, table)
-
-        session = open_session(args.run_id, args.vault)
         capture_environment(session)
         if args.data:
             record = record_artifact(session, args.data, role=ArtifactRole.INPUT_DATA)
@@ -293,58 +288,29 @@ def cmd_run(args) -> int:
         if args.bom:
             ingest_dependency_manifest(session, args.bom)
 
-        ctx = MetricContext(
-            table=table if table is not None else EMPTY_TABLE,
-            bindings=bindings,
-        )
-        mode_override = EnforcementMode(args.mode_override) if args.mode_override else None
-
-        reports: list[PhaseReport] = []
-        blocked = False
-        for phase in plan.phases_present():
-            unbound = unbound_controls(plan, phase, ctx, registry)
-            if unbound:
-                print(
-                    f"phase {phase.value}: skipped, roles not bound for "
-                    + "; ".join(f"{spec.control_id} ({', '.join(missing)})"
-                                for spec, missing in unbound),
-                    file=sys.stderr,
-                )
-                continue
-            report = enforce_phase(
-                plan, phase, ctx, registry, mode_override=mode_override
+        reports = _evaluate(plan, plan.phases_present(), ctx, args.mode_override)
+        blocked = bool(reports) and reports[-1].blocked
+        if blocked:
+            print(
+                f"phase {reports[-1].phase.value} blocked; remaining phases not evaluated.",
+                file=sys.stderr,
             )
-            reports.append(report)
-            _print_verdict_table(report, plan)
-            if report.blocked:
-                blocked = True
-                print(
-                    f"phase {phase.value} blocked; remaining phases not evaluated.",
-                    file=sys.stderr,
-                )
-                break
-
         # only the reports are needed from here: the input is freed before
         # the documents are serialized
-        del table, ctx
+        del ctx
         bundle = finalize_session(session, reports, deterministic=args.deterministic)
-    except (OscalAssureError, OSError) as exc:
-        if session is not None:
-            # a failed run leaves no empty run directory to push the next
-            # run with this id onto a suffix; one with files is kept
-            with contextlib.suppress(OSError):
-                session.run_dir.rmdir()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (OscalAssureError, OSError):
+        # a failed run leaves no empty run directory to push the next run
+        # with this id onto a suffix; one with files is kept
+        with contextlib.suppress(OSError):
+            session.run_dir.rmdir()
+        raise
 
     print(f"vault: {session.run_dir}")
     for name in bundle.written_files:
         print(f"  {name}")
     if not bundle.handshake_ok:
-        print(
-            "handshake failed: no phase was executable with the given bindings.",
-            file=sys.stderr,
-        )
+        print(f"handshake failed: {_NO_PHASE}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_BLOCKED if blocked else EXIT_OK
 
@@ -582,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     except _Exit as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except (OscalAssureError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -204,21 +204,6 @@ def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]
     ]
 
 
-def unbound_controls(
-    plan: AssessmentPlan,
-    phase: LifecyclePhase,
-    ctx: MetricContext,
-    registry: MetricRegistry,
-) -> list[tuple[ControlSpec, list[str]]]:
-    """The phase's selected controls that need roles the context does not
-    provide, each with its missing roles, in plan order."""
-    return [
-        (spec, missing)
-        for spec in select_controls(plan, phase)
-        if (missing := missing_roles(spec, ctx, registry))
-    ]
-
-
 def _skip_verdict(spec: ControlSpec, reason: SkipReason) -> Verdict:
     method = (
         ObservationMethod.EXAMINE
@@ -421,17 +406,19 @@ def enforce_phase(
 
     A block-mode failure does not stop evaluation of the remaining
     controls (complete evidence); the report is then blocked and the
-    caller aborts at the process boundary after the phase.
+    caller aborts at the process boundary after the phase. Roles that the
+    selected controls need and ctx does not bind raise PolicyDataMismatch first.
     """
-    unbound = unbound_controls(plan, phase, ctx, registry)
+    selected = select_controls(plan, phase)
+    unbound = [
+        f"{spec.control_id} needs {', '.join(missing)}"
+        for spec in selected
+        if (missing := missing_roles(spec, ctx, registry))
+    ]
     if unbound:
         raise PolicyDataMismatch(
-            f"phase {phase.value}: bindings do not satisfy selected controls: "
-            + "; ".join(
-                f"{spec.control_id} needs {', '.join(missing)}" for spec, missing in unbound
-            )
+            "bindings do not satisfy selected controls: " + "; ".join(unbound)
         )
-    selected = select_controls(plan, phase)
     ctx = _with_joint_count(selected, ctx, registry)
 
     start = utc_now()

@@ -76,6 +76,8 @@ class Severity(str, Enum):
 
 
 class LifecyclePhase(str, Enum):
+    """The member order is the document order, used wherever phases are listed."""
+
     TRAINING = "training"
     VALIDATION = "validation"
     MONITORING = "monitoring"
@@ -105,14 +107,6 @@ class TargetType(str, Enum):
     DATASET = "dataset"
     MODEL = "model"
 
-
-#: Document order of the four phases, used wherever phases are listed.
-PHASE_ORDER = (
-    LifecyclePhase.TRAINING,
-    LifecyclePhase.VALIDATION,
-    LifecyclePhase.MONITORING,
-    LifecyclePhase.INCIDENT,
-)
 
 #: Single-valued enum properties and their vocabularies, in emission order
 #: (lifecycle_phase, which may repeat, is emitted right after severity).
@@ -174,7 +168,7 @@ class ControlSpec:
     extra_props: tuple[PropertyEntry, ...] = ()
 
     def phases_in_order(self) -> list[LifecyclePhase]:
-        return [p for p in PHASE_ORDER if p in self.lifecycle_phases]
+        return [p for p in LifecyclePhase if p in self.lifecycle_phases]
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,7 @@ class AssessmentPlan:
         present = set()
         for spec in self.controls:
             present |= spec.lifecycle_phases
-        return [p for p in PHASE_ORDER if p in present]
+        return [p for p in LifecyclePhase if p in present]
 
 
 def normalize_operator(token: str, control_id: str) -> Operator:
@@ -299,19 +293,33 @@ def extract_control_spec(
     )
 
 
+#: The YAML values that text refuses, each with the name its message gives.
+_NOT_SCALAR = (
+    (dict, "mapping"),
+    (list, "list"),
+    ((set, frozenset), "set"),
+    (bytes, "binary value"),
+)
+
+
 def text(value, what: str, default: str | None = "") -> str | None:
     """A scalar field as text: absent or null reads as `default`, any other
     scalar as cell_token spells it. A list or mapping is refused rather than
     passed through str(), which would expand every YAML alias in it: a few
-    hundred bytes of nested aliases can stand for gigabytes of text."""
+    hundred bytes of nested aliases can stand for gigabytes of text. A set
+    is refused too, as its spelling would follow the hash seed, and so is a
+    binary value. An integer too long for str() is malformed."""
     if isinstance(value, str):
         return value
     if value is None:
         return default
-    if isinstance(value, (dict, list)):
-        kind = "mapping" if isinstance(value, dict) else "list"
-        raise MalformedDocument(f"{what} must be a scalar, not a {kind}")
-    return cell_token(value)
+    for kinds, kind in _NOT_SCALAR:
+        if isinstance(value, kinds):
+            raise MalformedDocument(f"{what} must be a scalar, not a {kind}")
+    try:
+        return cell_token(value)
+    except ValueError as exc:  # past the interpreter's digit limit for int -> str
+        raise MalformedDocument(f"{what} is an integer too long to spell") from exc
 
 
 def nested(payload: dict, key: str, kind: type[dict] | type[list]):

@@ -318,6 +318,24 @@ def test_enforce_failed_write_keeps_the_earlier_results_and_poam(
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_enforce_on_a_phase_with_an_unbound_role_exits_one_and_writes_nothing(
+    tmp_path, capsys
+):
+    assert main(enforce_args(tmp_path, "--deterministic")) == 2
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(before) == {"assessment-results.oscal.json", "poam.oscal.json"}
+    capsys.readouterr()
+    assert main(enforce_args(tmp_path, "--phase", "validation")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "phase validation: skipped, bindings do not satisfy selected controls: "
+        "credit-accuracy needs prediction; credit-gender-dp needs prediction\n"
+        "error: no phase was executable with the given bindings.\n"
+    )
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # --- run ------------------------------------------------------------------------
 
 
@@ -641,6 +659,27 @@ def test_run_skips_phase_whose_roles_are_unbound(tmp_path, capsys):
     run_dir = tmp_path / "vault" / "runs" / "partial"
     handshake = json.loads((run_dir / "handshake.json").read_text())
     assert handshake["phase_count"] == 1
+
+
+@pytest.mark.parametrize("mode", [None, "monitor"])
+def test_enforce_and_run_print_the_same_verdict_table_for_a_phase(tmp_path, capsys, mode):
+    flags = ["--target", "class:good", "--group", "gender", "--prediction", "prediction:good",
+             "--deterministic", *(["--mode-override", mode] if mode else [])]
+    # without an override the training phase blocks, and run stops after it
+    phases = ["training", "validation"] if mode else ["training"]
+    run_code = main(["run", "r", str(SCENARIO_A_PLAN), "--data", str(SCENARIO_A_DATA),
+                     "--vault", str(tmp_path / "vault"), *flags])
+    run_tables = capsys.readouterr().out.partition("vault: ")[0]
+    enforce_tables = ""
+    for phase in phases:
+        code = main(["enforce", str(SCENARIO_A_PLAN), str(SCENARIO_A_DATA), "--phase", phase,
+                     "--out", str(tmp_path / phase), *flags])
+        assert code == run_code
+        enforce_tables += capsys.readouterr().out.partition("wrote ")[0]
+    assert [line for line in run_tables.splitlines() if line.startswith("phase:")] == [
+        f"phase: {phase}" for phase in phases
+    ]
+    assert enforce_tables == run_tables
 
 
 # --- report ---------------------------------------------------------------------

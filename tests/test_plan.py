@@ -386,8 +386,13 @@ def test_unparsable_plan_is_malformed(source, format):
         parse_plan_document(source, format)
 
 
+#: A legal YAML integer whose decimal spelling passes str()'s digit limit.
+HEX_PAST_THE_DIGIT_LIMIT = "0x" + "f" * 4000
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=200), st.sampled_from(["json", "yaml"]))
+@example(f"assessment-plan: {{metadata: {{title: {HEX_PAST_THE_DIGIT_LIMIT}}}}}".encode(), "yaml")
 def test_plan_parser_returns_or_raises_package_error_for_any_bytes(source, format):
     parses_or_raises_package_error(source, format)
 
@@ -512,9 +517,19 @@ ALIAS_BOMB_FIELDS = [
 @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
 @pytest.mark.parametrize("field", ALIAS_BOMB_FIELDS)
 def test_text_field_that_is_no_scalar_is_malformed(field, loader):
+    # a set's spelling would follow the hash seed, and a binary value is no text
     with mock.patch.object(plan_module, "_YAML_LOADER", loader):
-        with pytest.raises(MalformedDocument, match="must be a scalar"):
-            parse_plan_document(_alias_bomb(field), "yaml")
+        for value in ["*l4", "!!set {zeta, alpha, mid, beta, omega}", "!!binary aGVsbG8="]:
+            with pytest.raises(MalformedDocument, match="must be a scalar"):
+                parse_plan_document(_alias_bomb(field, value), "yaml")
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("field", [f for f in ALIAS_BOMB_FIELDS if f != "mapping-title"])
+def test_text_field_holding_an_integer_past_the_digit_limit_is_malformed(field, loader):
+    with mock.patch.object(plan_module, "_YAML_LOADER", loader):
+        with pytest.raises(MalformedDocument, match="integer too long to spell"):
+            parse_plan_document(_alias_bomb(field, HEX_PAST_THE_DIGIT_LIMIT), "yaml")
 
 
 #: Where a null makes a required field absent, and how the plan is rejected.
