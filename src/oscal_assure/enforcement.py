@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -108,19 +109,26 @@ class PhaseReport:
             )
 
 
+_COMPARISONS = {
+    Operator.GT: operator.gt,
+    Operator.GE: operator.ge,
+    Operator.LT: operator.lt,
+    Operator.LE: operator.le,
+    Operator.EQ: operator.eq,
+    Operator.NE: operator.ne,
+}
+
+#: What a failed control's enforcement mode does, and the level it logs at.
+_ON_FAILURE = {
+    EnforcementMode.BLOCK: (EnforcementAction.BLOCKED, logging.ERROR),
+    EnforcementMode.WARN: (EnforcementAction.WARNED, logging.WARNING),
+    EnforcementMode.MONITOR: (EnforcementAction.LOGGED, logging.INFO),
+}
+
+
 def compare(value: float, operator: Operator, threshold: float) -> bool:
     """True iff the comparison holds. Exact IEEE comparison, no epsilon."""
-    if operator is Operator.GT:
-        return value > threshold
-    if operator is Operator.GE:
-        return value >= threshold
-    if operator is Operator.LT:
-        return value < threshold
-    if operator is Operator.LE:
-        return value <= threshold
-    if operator is Operator.EQ:
-        return value == threshold
-    return value != threshold
+    return _COMPARISONS[operator](value, threshold)
 
 
 def select_controls(plan: AssessmentPlan, phase: LifecyclePhase) -> list[ControlSpec]:
@@ -204,57 +212,44 @@ def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]
     ]
 
 
-def _skip_verdict(spec: ControlSpec, reason: SkipReason) -> Verdict:
-    method = (
-        ObservationMethod.EXAMINE
-        if reason is SkipReason.MANUAL_ATTESTATION_REQUIRED
-        else ObservationMethod.TEST
-    )
-    observation = Observation(
+def _observation(
+    spec: ControlSpec,
+    stratum: str | None,
+    outcome: MetricOutcome | None,
+    remarks: str | None,
+    method: ObservationMethod = ObservationMethod.TEST,
+) -> Observation:
+    """The observation of one stratum's outcome (None when the control was
+    skipped or its evaluation failed), titled by metric, control and stratum."""
+    return Observation(
         uuid=random_uuid(),
-        title=f"{spec.metric_key} ({spec.control_id})",
+        title=f"{spec.metric_key} ({spec.control_id})"
+        + (f" [{stratum}]" if stratum is not None else ""),
         description=spec.description,
         method=method,
-        observed_value=None,
+        observed_value=outcome.value if outcome else None,
         collected_at=utc_now(),
         relevant_control_id=spec.control_id,
-        remarks=f"skipped: {reason.value}",
-    )
-    return Verdict(
-        control_id=spec.control_id,
-        outcome=VerdictOutcome.SKIPPED,
-        skip_reason=reason,
-        observations=(observation,),
-        finding=None,
-        risk=None,
-        enforcement_action_taken=EnforcementAction.NONE,
+        per_group=dict(outcome.per_group) if outcome and outcome.per_group else None,
+        stratum=stratum,
+        excluded_rows=outcome.excluded_rows if outcome else 0,
+        remarks=remarks,
     )
 
 
-def _affected_groups(outcome: MetricOutcome | None) -> str | None:
-    if outcome is None or not outcome.per_group:
-        return None
-    return ", ".join(sorted(outcome.per_group))
-
-
-def _build_risk(
-    spec: ControlSpec,
-    finding: Finding,
-    failing_value: float | None,
-    failing_outcome: MetricOutcome | None,
-    failing_stratum: str | None,
-) -> Risk:
+def _build_risk(spec: ControlSpec, finding: Finding, failing: Observation) -> Risk:
+    """The open risk of a failed control, described by its first failing observation."""
+    value = failing.observed_value
     facets: list[tuple[str, str]] = [
         ("metric", spec.metric_key),
-        ("actual", repr(failing_value) if failing_value is not None else "not-computable"),
+        ("actual", repr(value) if value is not None else "not-computable"),
         ("threshold", repr(spec.threshold)),
         ("operator", spec.operator.value),
     ]
-    affected = _affected_groups(failing_outcome)
-    if affected is not None:
-        facets.append(("affected-groups", affected))
-    if failing_stratum is not None:
-        facets.append(("stratum", failing_stratum))
+    if failing.per_group:
+        facets.append(("affected-groups", ", ".join(sorted(failing.per_group))))
+    if failing.stratum is not None:
+        facets.append(("stratum", failing.stratum))
     return Risk(
         uuid=random_uuid(),
         title=f"Control {spec.control_id} not satisfied: {spec.metric_key}",
@@ -311,82 +306,71 @@ def evaluate_control(
     and evaluation errors fail closed (not-satisfied + evaluation-error)."""
     reason = skip_reason(spec)
     if reason is not None:
-        return _skip_verdict(spec, reason)
+        method = (
+            ObservationMethod.EXAMINE
+            if reason is SkipReason.MANUAL_ATTESTATION_REQUIRED
+            else ObservationMethod.TEST
+        )
+        skipped = _observation(spec, None, None, f"skipped: {reason.value}", method)
+        return Verdict(
+            control_id=spec.control_id,
+            outcome=VerdictOutcome.SKIPPED,
+            skip_reason=reason,
+            observations=(skipped,),
+            finding=None,
+            risk=None,
+            enforcement_action_taken=EnforcementAction.NONE,
+        )
 
     observations: list[Observation] = []
-    failures: list[tuple[float | None, MetricOutcome | None, str | None]] = []
+    failures: list[Observation] = []
     evaluation_error = False
-    for stratum_label, result in _evaluate_strata(spec, control_context(spec, ctx), registry):
+    for stratum, result in _evaluate_strata(spec, control_context(spec, ctx), registry):
         if isinstance(result, OscalAssureError):
             evaluation_error = True
-            outcome, value, passed = None, None, False
+            outcome, passed = None, False
             remarks: str | None = f"evaluation-error: {result}"
         else:
-            outcome, value = result, result.value
-            passed = compare(value, spec.operator, spec.threshold)
+            outcome, passed = result, compare(result.value, spec.operator, spec.threshold)
             remarks = (
                 f"excluded {outcome.excluded_rows} row(s) with missing bound values"
                 if outcome.excluded_rows
                 else None
             )
-        observations.append(
-            Observation(
-                uuid=random_uuid(),
-                title=f"{spec.metric_key} ({spec.control_id})"
-                + (f" [{stratum_label}]" if stratum_label is not None else ""),
-                description=spec.description,
-                method=ObservationMethod.TEST,
-                observed_value=value,
-                collected_at=utc_now(),
-                relevant_control_id=spec.control_id,
-                per_group=dict(outcome.per_group) if outcome and outcome.per_group else None,
-                stratum=stratum_label,
-                excluded_rows=outcome.excluded_rows if outcome else 0,
-                remarks=remarks,
-            )
-        )
+        observations.append(_observation(spec, stratum, outcome, remarks))
         if not passed:
-            failures.append((value, outcome, stratum_label))
+            failures.append(observations[-1])
 
-    status = FindingStatus.NOT_SATISFIED if failures else FindingStatus.SATISFIED
     finding = Finding(
         uuid=random_uuid(),
         title=f"{spec.control_id}: {spec.metric_key} {spec.operator.value} "
         f"{spec.threshold!r}",
         target_control_id=spec.control_id,
-        status=status,
+        status=FindingStatus.NOT_SATISFIED if failures else FindingStatus.SATISFIED,
         related_observation_uuids=tuple(obs.uuid for obs in observations),
         remarks="evaluation-error" if evaluation_error else None,
     )
 
     risk: Risk | None = None
-    mode = mode_override or spec.enforcement_mode
     action = EnforcementAction.NONE
     if failures:
-        risk = _build_risk(spec, finding, *failures[0])
+        risk = _build_risk(spec, finding, failures[0])
         detail = "; ".join(
-            f"value {value!r}" + (f" in stratum {stratum!r}" if stratum else "")
-            for value, _, stratum in failures
+            f"value {obs.observed_value!r}"
+            + (f" in stratum {obs.stratum!r}" if obs.stratum else "")
+            for obs in failures
         )
         message = (
             f"control {spec.control_id} not satisfied: {spec.metric_key} "
             f"{spec.operator.value} {spec.threshold!r} ({detail})"
         )
-        if mode is EnforcementMode.BLOCK:
-            action = EnforcementAction.BLOCKED
-            logger.error("%s [block]", message)
-        elif mode is EnforcementMode.WARN:
-            action = EnforcementAction.WARNED
-            logger.warning("%s [warn]", message)
-        else:
-            action = EnforcementAction.LOGGED
-            logger.info("%s [monitor]", message)
+        mode = mode_override or spec.enforcement_mode
+        action, level = _ON_FAILURE[mode]
+        logger.log(level, "%s [%s]", message, mode.value)
 
     return Verdict(
         control_id=spec.control_id,
-        outcome=(
-            VerdictOutcome.NOT_SATISFIED if failures else VerdictOutcome.SATISFIED
-        ),
+        outcome=VerdictOutcome.NOT_SATISFIED if failures else VerdictOutcome.SATISFIED,
         skip_reason=None,
         observations=tuple(observations),
         finding=finding,
@@ -454,18 +438,14 @@ def enforce_phase(
 def generate_poam(results: AssessmentResults, plan: AssessmentPlan) -> PoamDocument:
     """One open POA&M item per open risk, carrying the originating
     control's treatment id when the plan declares one."""
-    findings_by_uuid = {f.uuid: f for f in results.all_findings()}
+    control_of_finding = {f.uuid: f.target_control_id for f in results.all_findings()}
+    # reversed, so the first control of an id wins, as in plan.control
+    treatments = {spec.control_id: spec.treatment_id for spec in reversed(plan.controls)}
     items = []
     for risk in results.all_risks():
         if risk.status is not RiskStatus.OPEN:
             continue
-        treatment = None
-        finding = findings_by_uuid.get(risk.linked_finding_uuid)
-        if finding is not None:
-            try:
-                treatment = plan.control(finding.target_control_id).treatment_id
-            except KeyError:
-                treatment = None
+        treatment = treatments.get(control_of_finding.get(risk.linked_finding_uuid))
         metric = risk.facet("metric") or "metric"
         actual = risk.facet("actual") or "?"
         threshold = risk.facet("threshold") or "?"

@@ -31,7 +31,8 @@ from .errors import (
     UnparsableManifest,
     UnwritableVault,
 )
-from .serialize import determinize, serialize_canonical
+from .results import AssessmentResults, PoamDocument
+from .serialize import POAM_FILE, RESULTS_FILE, determinize, serialize_canonical
 
 DEFAULT_VAULT_ROOT = ".oscal-assure"
 VAULT_ENV_VAR = "OSCAL_ASSURE_VAULT"
@@ -328,15 +329,17 @@ def bom_to_dict(bom: DependencyBom) -> dict:
 
 
 def write_files(directory: Path, files: Iterable[tuple[str, bytes]]) -> list[str]:
-    """Write each (name, bytes) of `files` into directory and return the
-    names written, in order. Every payload is first written to a temporary
-    file in the directory, and freed before the next one is built; only
-    when all are staged do they replace their targets, in order. A failure
-    removes every staged file, so a failed write leaves every target as it
-    was; only a failed rename leaves the targets before it replaced."""
+    """Write each (name, bytes) of `files` into directory, made if it is
+    missing, and return the names written, in order. Every payload is first
+    written to a temporary file in the directory, and freed before the next
+    one is built; only when all are staged do they replace their targets, in
+    order. A failure removes every staged file, so a failed write leaves
+    every target as it was; only a failed rename leaves the targets before
+    it replaced. A failure to make the directory is a failed write too."""
     staged: list[tuple[Path, Path]] = []
     target = directory
     try:
+        directory.mkdir(parents=True, exist_ok=True)
         for name, payload in files:
             target = directory / name
             temporary = directory / f".{name}.{random_uuid()}.tmp"
@@ -355,19 +358,28 @@ def write_files(directory: Path, files: Iterable[tuple[str, bytes]]) -> list[str
     return [target.name for _, target in staged]
 
 
+def document_files(
+    results: AssessmentResults, poam: PoamDocument | None, deterministic: bool
+) -> Iterator[tuple[str, bytes]]:
+    """The results document and its POA&M, if there is one, as (name, bytes),
+    each serialized only when it is asked for. Under deterministic both are
+    rewritten together, so the POA&M's risk references follow the results."""
+    if deterministic:
+        results, mapping = determinize(results)
+        if poam is not None:
+            poam, _ = determinize(poam, reference_map=mapping)
+    yield RESULTS_FILE, serialize_canonical(results)
+    if poam is not None:
+        yield POAM_FILE, serialize_canonical(poam)
+
+
 def _vault_files(session: RunSession, phase_reports: list[PhaseReport], handshake_ok: bool,
                  deterministic: bool) -> Iterator[tuple[str, bytes]]:
     """The run directory's files in order, each serialized only when it is
     asked for."""
     results, poam = combine_reports(list(phase_reports))
     if results is not None:
-        if deterministic:
-            results, mapping = determinize(results)
-            if poam is not None:
-                poam, _ = determinize(poam, reference_map=mapping)
-        yield "assessment-results.oscal.json", serialize_canonical(results)
-        if poam is not None:
-            yield "poam.oscal.json", serialize_canonical(poam)
+        yield from document_files(results, poam, deterministic)
     if session.artifacts:
         yield "hashes.json", canonical_json_bytes([asdict(r) for r in session.artifacts])
     if session.environment is not None:

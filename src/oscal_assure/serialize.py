@@ -46,6 +46,10 @@ from .results import (
 
 OSCAL_VERSION = "1.1.2"
 
+#: The file names of a results document and of its POA&M, side by side in one directory.
+RESULTS_FILE = "assessment-results.oscal.json"
+POAM_FILE = "poam.oscal.json"
+
 Document = AssessmentPlan | AssessmentResults | PoamDocument
 
 

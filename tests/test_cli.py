@@ -281,6 +281,17 @@ def test_enforce_failed_write_leaves_neither_target_nor_temporary_file(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_enforce_out_that_is_a_file_exits_one_and_leaves_the_file(tmp_path, capsys):
+    # --out was made before the write, so an existing file ended the command
+    # with a bare "[Errno 17] File exists" instead of the write's own error
+    out = tmp_path / "taken"
+    out.write_bytes(b"not a directory\n")
+    assert main(enforce_args(out)) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: cannot write {out}: ")
+    assert out.read_bytes() == b"not a directory\n"
+
+
 def fail_staging(monkeypatch, name: str) -> None:
     """Make writing the temporary file of `name` raise, as a full disk would."""
 
@@ -680,6 +691,20 @@ def test_enforce_and_run_print_the_same_verdict_table_for_a_phase(tmp_path, caps
         f"phase: {phase}" for phase in phases
     ]
     assert enforce_tables == run_tables
+
+
+def test_enforce_and_run_write_the_same_results_and_poam(tmp_path):
+    # both write the pair through one function; run stops after the blocked training phase
+    flags = ["--target", "class:good", "--group", "gender", "--prediction", "prediction:good",
+             "--deterministic"]
+    out = tmp_path / "out"
+    assert main(["enforce", str(SCENARIO_A_PLAN), str(SCENARIO_A_DATA), "--phase", "training",
+                 "--out", str(out), *flags]) == 2
+    assert main(["run", "r", str(SCENARIO_A_PLAN), "--data", str(SCENARIO_A_DATA),
+                 "--vault", str(tmp_path / "vault"), *flags]) == 2
+    run_dir = tmp_path / "vault" / "runs" / "r"
+    for name in ("assessment-results.oscal.json", "poam.oscal.json"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 # --- report ---------------------------------------------------------------------

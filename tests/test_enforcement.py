@@ -36,7 +36,7 @@ from oscal_assure.plan import (
     Operator,
     TargetType,
 )
-from oscal_assure.results import FindingStatus, RiskStatus
+from oscal_assure.results import FindingStatus, ObservationMethod, RiskStatus
 
 
 @pytest.fixture
@@ -81,9 +81,19 @@ def test_ge_is_reflexive(x):
     assert compare(x, Operator.GE, x) is True
 
 
-def test_equality_at_threshold_resolved_by_operator_only():
-    assert compare(0.5, Operator.GE, 0.5) is True
-    assert compare(0.5, Operator.GT, 0.5) is False
+@pytest.mark.parametrize(
+    "operator, below, at, above",
+    [
+        (Operator.GT, False, False, True),
+        (Operator.GE, False, True, True),
+        (Operator.LT, True, False, False),
+        (Operator.LE, True, True, False),
+        (Operator.EQ, False, True, False),
+        (Operator.NE, True, False, True),
+    ],
+)
+def test_equality_at_threshold_resolved_by_operator_only(operator, below, at, above):
+    assert [compare(value, operator, 0.5) for value in (0.4, 0.5, 0.6)] == [below, at, above]
 
 
 # --- select_controls -----------------------------------------------------------
@@ -147,6 +157,10 @@ def test_manual_and_hybrid_controls_skip_without_value_or_risk(
     assert verdict.observed_value is None
     assert verdict.finding is None
     assert verdict.risk is None
+    (observation,) = verdict.observations
+    assert observation.method is ObservationMethod.EXAMINE
+    assert observation.remarks == "skipped: manual-attestation-required"
+    assert observation.title == f"{spec.metric_key} (m1)"
 
 
 @pytest.mark.parametrize(
@@ -157,6 +171,10 @@ def test_non_per_run_window_is_skipped(small_ctx, registry, window):
     verdict = evaluate_control(spec, small_ctx, registry)
     assert verdict.outcome is VerdictOutcome.SKIPPED
     assert verdict.skip_reason is SkipReason.WINDOW_NOT_EXECUTABLE
+    (observation,) = verdict.observations
+    assert observation.method is ObservationMethod.TEST
+    assert observation.remarks == "skipped: window-not-executable"
+    assert observation.title == f"{spec.metric_key} (w1)"
 
 
 def test_unknown_metric_is_a_not_satisfied_evaluation_error(small_ctx, registry):
@@ -370,6 +388,23 @@ def test_poam_item_carries_treatment_id(scenario_a_plan, scenario_a_ctx, registr
     assert item.treatment_id_ref == "T-018"
     assert item.status is RiskStatus.OPEN
     assert item.related_risk_uuid == report.assessment_results.results[0].risks[0].uuid
+
+
+@pytest.mark.parametrize("missing", ["finding", "control"])
+def test_poam_item_has_no_treatment_when_its_finding_or_control_is_missing(
+    scenario_a_plan, scenario_a_ctx, registry, missing
+):
+    results = enforce_phase(
+        scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry
+    ).assessment_results
+    plan = scenario_a_plan
+    if missing == "finding":
+        (block,) = results.results
+        results = dataclasses.replace(results, results=(dataclasses.replace(block, findings=()),))
+    else:
+        plan = dataclasses.replace(plan, controls=())
+    (item,) = generate_poam(results, plan).poam_items
+    assert item.treatment_id_ref is None
 
 
 def test_poam_empty_when_no_risks(scenario_a_plan, scenario_a_ctx, registry):
