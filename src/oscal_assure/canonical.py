@@ -101,12 +101,19 @@ def cell_token(value: int | float | bool | str | None) -> str:
     return str(value)
 
 
-def format_timestamp(moment: datetime) -> str:
-    """ISO 8601 with millisecond precision and a literal Z suffix."""
+def _utc(moment: datetime) -> datetime:
+    """The one instant rule: a naive instant is UTC, and every instant is
+    held in UTC. An instant whose UTC value falls outside the years 1-9999
+    raises OverflowError."""
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=timezone.utc)
-    moment = moment.astimezone(timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:%S.") + f"{moment.microsecond // 1000:03d}Z"
+    return moment.astimezone(timezone.utc)
+
+
+def format_timestamp(moment: datetime) -> str:
+    """ISO 8601 in UTC with millisecond precision, a four-digit year and a
+    literal Z suffix."""
+    return _utc(moment).isoformat(timespec="milliseconds")[: -len("+00:00")] + "Z"
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -114,10 +121,7 @@ def parse_timestamp(text: str) -> datetime:
     normalized = text.strip()
     if normalized.endswith(("Z", "z")):
         normalized = normalized[:-1] + "+00:00"
-    moment = datetime.fromisoformat(normalized)
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return moment.astimezone(timezone.utc)
+    return _utc(datetime.fromisoformat(normalized))
 
 
 def utc_now() -> datetime:

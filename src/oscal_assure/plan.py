@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
 from typing import NamedTuple
 
@@ -361,15 +361,9 @@ def parse_props(payload: dict, where: str, key: str = "props") -> list[PropertyE
 
 
 def timestamp(payload: dict, key: str) -> datetime:
-    """payload[key] as a UTC instant, from text or a YAML timestamp; an
-    absent one reads as the epoch."""
-    value = payload.get(key)
-    if isinstance(value, datetime):
-        # YAML loaders yield naive datetimes for Z-suffixed timestamps
-        if value.tzinfo is None:
-            return value.replace(tzinfo=timezone.utc)
-        return value.astimezone(timezone.utc)
-    token = text(value, key, None)
+    """payload[key] as a UTC instant, read by parse_timestamp from text or
+    from a YAML timestamp's ISO text; an absent one reads as the epoch."""
+    token = text(payload.get(key), key, None)
     if token is None:
         return DETERMINISTIC_EPOCH
     try:

@@ -1,6 +1,12 @@
 """Document <-> JSON conversion, canonical byte serialization, and the
 deterministic rewrite (name-based uuids + a fixed epoch).
 
+Every document has one root key (`_ROOTS`) holding a uuid, metadata and one
+list. `_document_dict` writes that header for the plan, results and POA&M
+writers, and `_parse_document` reads it back for the results and POA&M
+parsers. `determinize` gives each record the uuid of its content path
+through one rename step, `renamed`.
+
 Key order in emitted JSON is fixed by construction order here; canonical
 bytes come from canonical.canonical_json_bytes.
 """
@@ -9,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from datetime import datetime
 
 from .canonical import (
     DETERMINISTIC_EPOCH,
@@ -52,17 +57,26 @@ POAM_FILE = "poam.oscal.json"
 
 Document = AssessmentPlan | AssessmentResults | PoamDocument
 
+#: The root key of each document, which is also the content path of its uuid.
+_ROOTS = {
+    AssessmentPlan: "assessment-plan",
+    AssessmentResults: "assessment-results",
+    PoamDocument: "plan-of-action-and-milestones",
+}
+
 
 # --- document -> dict --------------------------------------------------------
 
 
-def _metadata_dict(title: str, last_modified: datetime, version: str) -> dict:
-    return {
-        "title": title,
-        "last-modified": format_timestamp(last_modified),
-        "version": version,
+def _document_dict(doc: Document, key: str, items: list) -> dict:
+    """{root: {uuid, metadata, key: items}}, the header of every document."""
+    metadata = {
+        "title": doc.title,
+        "last-modified": format_timestamp(doc.last_modified),
+        "version": doc.version,
         "oscal-version": OSCAL_VERSION,
     }
+    return {_ROOTS[type(doc)]: {"uuid": doc.uuid, "metadata": metadata, key: items}}
 
 
 def plan_to_dict(plan: AssessmentPlan) -> dict:
@@ -81,15 +95,8 @@ def plan_to_dict(plan: AssessmentPlan) -> dict:
                 "props": props,
             }
         )
-    return {
-        "assessment-plan": {
-            "uuid": plan.uuid,
-            "metadata": _metadata_dict(plan.title, plan.last_modified, plan.version),
-            "control-implementations": (
-                [{"implemented-requirements": requirements}] if requirements else []
-            ),
-        }
-    }
+    implementations = [{"implemented-requirements": requirements}] if requirements else []
+    return _document_dict(plan, "control-implementations", implementations)
 
 
 def _observation_to_dict(obs: Observation) -> dict:
@@ -179,13 +186,7 @@ def results_to_dict(doc: AssessmentResults) -> dict:
         if block.risks:
             payload["risks"] = [_risk_to_dict(r) for r in block.risks]
         blocks.append(payload)
-    return {
-        "assessment-results": {
-            "uuid": doc.uuid,
-            "metadata": _metadata_dict(doc.title, doc.last_modified, doc.version),
-            "results": blocks,
-        }
-    }
+    return _document_dict(doc, "results", blocks)
 
 
 def poam_to_dict(doc: PoamDocument) -> dict:
@@ -205,13 +206,7 @@ def poam_to_dict(doc: PoamDocument) -> dict:
                 "props": props,
             }
         )
-    return {
-        "plan-of-action-and-milestones": {
-            "uuid": doc.uuid,
-            "metadata": _metadata_dict(doc.title, doc.last_modified, doc.version),
-            "poam-items": items,
-        }
-    }
+    return _document_dict(doc, "poam-items", items)
 
 
 # --- deterministic rewrite ---------------------------------------------------
@@ -231,75 +226,39 @@ def determinize(
     """
     mapping: dict[str, str] = dict(reference_map or {})
 
-    def assign(old: str, path: str) -> str:
-        new = name_uuid(path)
-        mapping[old] = new
-        return new
+    def renamed(record, path: str, **changes):
+        """record with the uuid of its content path and `changes`; the old
+        uuid maps to the new one."""
+        new = mapping[record.uuid] = name_uuid(path)
+        return replace(record, uuid=new, **changes)
 
     def ref(old: str) -> str:
         return mapping.get(old, old)
 
-    if isinstance(doc, AssessmentPlan):
-        return (
-            replace(
-                doc, uuid=assign(doc.uuid, "assessment-plan"), last_modified=DETERMINISTIC_EPOCH
-            ),
-            mapping,
-        )
-
     if isinstance(doc, AssessmentResults):
         blocks = []
         for b, block in enumerate(doc.results):
+            at = f"results[{b}]"
             observations = tuple(
-                replace(
-                    obs,
-                    uuid=assign(
-                        obs.uuid,
-                        f"results[{b}]/observations[{i}]/{obs.relevant_control_id}"
-                        f"/{obs.stratum or ''}",
-                    ),
-                    collected_at=DETERMINISTIC_EPOCH,
-                )
-                for i, obs in enumerate(block.observations)
+                renamed(o, f"{at}/observations[{i}]/{o.relevant_control_id}/{o.stratum or ''}",
+                        collected_at=DETERMINISTIC_EPOCH)
+                for i, o in enumerate(block.observations)
             )
             findings = tuple(
-                replace(
-                    f,
-                    uuid=assign(f.uuid, f"results[{b}]/findings[{i}]/{f.target_control_id}"),
-                    related_observation_uuids=tuple(map(ref, f.related_observation_uuids)),
-                )
+                renamed(f, f"{at}/findings[{i}]/{f.target_control_id}",
+                        related_observation_uuids=tuple(map(ref, f.related_observation_uuids)))
                 for i, f in enumerate(block.findings)
             )
             risks = tuple(
-                replace(
-                    r,
-                    uuid=assign(r.uuid, f"results[{b}]/risks[{i}]"),
-                    linked_finding_uuid=ref(r.linked_finding_uuid),
-                )
+                renamed(r, f"{at}/risks[{i}]", linked_finding_uuid=ref(r.linked_finding_uuid))
                 for i, r in enumerate(block.risks)
             )
-            blocks.append(
-                replace(
-                    block,
-                    uuid=assign(block.uuid, f"results[{b}]"),
-                    start=DETERMINISTIC_EPOCH,
-                    end=DETERMINISTIC_EPOCH,
-                    observations=observations,
-                    findings=findings,
-                    risks=risks,
-                )
-            )
-        return (
-            replace(
-                doc,
-                uuid=assign(doc.uuid, "assessment-results"),
-                last_modified=DETERMINISTIC_EPOCH,
-                results=tuple(blocks),
-            ),
-            mapping,
-        )
-
-    if isinstance(doc, PoamDocument):
+            blocks.append(renamed(
+                block, at, start=DETERMINISTIC_EPOCH, end=DETERMINISTIC_EPOCH,
+                observations=observations, findings=findings, risks=risks,
+            ))
+        body = {"results": tuple(blocks)}
+    elif isinstance(doc, PoamDocument):
         unmapped = sorted({item.related_risk_uuid for item in doc.poam_items} - mapping.keys())
         if unmapped:
             # left as they are, these random uuids would change the bytes on every run
@@ -307,25 +266,17 @@ def determinize(
                 f"POA&M refers to risk(s) {', '.join(unmapped)} that reference_map does "
                 "not map; determinize the results document first and pass its uuid map"
             )
-        items = tuple(
-            replace(
-                item,
-                uuid=assign(item.uuid, f"poam-items[{i}]"),
-                related_risk_uuid=ref(item.related_risk_uuid),
+        body = {
+            "poam_items": tuple(
+                renamed(item, f"poam-items[{i}]", related_risk_uuid=ref(item.related_risk_uuid))
+                for i, item in enumerate(doc.poam_items)
             )
-            for i, item in enumerate(doc.poam_items)
-        )
-        return (
-            replace(
-                doc,
-                uuid=assign(doc.uuid, "plan-of-action-and-milestones"),
-                last_modified=DETERMINISTIC_EPOCH,
-                poam_items=items,
-            ),
-            mapping,
-        )
-
-    raise TypeError(f"cannot determinize {type(doc).__name__}")
+        }
+    elif isinstance(doc, AssessmentPlan):
+        body = {}
+    else:
+        raise TypeError(f"cannot determinize {type(doc).__name__}")
+    return renamed(doc, _ROOTS[type(doc)], last_modified=DETERMINISTIC_EPOCH, **body), mapping
 
 
 # --- canonical serialization -------------------------------------------------
@@ -439,62 +390,57 @@ def _risk_from_dict(payload: dict) -> Risk:
     )
 
 
-def parse_results_document(source: bytes) -> AssessmentResults:
-    """Parse an assessment-results JSON document back into the model."""
-    body = document_body(source, "json", "assessment-results")
+def _block_from_dict(payload: dict) -> ResultBlock:
+    selections = objects(nested(payload, "reviewed-controls", dict), "control-selections")
+    reviewed = tuple(
+        text(entry.get("control-id"), "control-id")
+        for selection in selections
+        for entry in objects(selection, "include-controls")
+    )
+    return ResultBlock(
+        uuid=text(payload.get("uuid"), "uuid"),
+        title=text(payload.get("title"), "title"),
+        start=timestamp(payload, "start"),
+        end=timestamp(payload, "end"),
+        observations=tuple(map(_observation_from_dict, objects(payload, "observations"))),
+        findings=tuple(map(_finding_from_dict, objects(payload, "findings"))),
+        risks=tuple(map(_risk_from_dict, objects(payload, "risks"))),
+        reviewed_control_ids=reviewed,
+    )
+
+
+def _poam_item_from_dict(payload: dict) -> PoamItem:
+    prop_map = _first_values(parse_props(payload, "poam item"))
+    return PoamItem(
+        uuid=text(payload.get("uuid"), "uuid"),
+        title=text(payload.get("title"), "title"),
+        description=text(payload.get("description"), "description"),
+        related_risk_uuid=prop_map.get("related-risk", ""),
+        status=_parsed(RiskStatus, prop_map.get("status", ""), "poam item status"),
+        treatment_id_ref=prop_map.get("treatment-id"),
+    )
+
+
+def _parse_document(source: bytes, kind: type, key: str, parse_item):
+    """A `kind` document from JSON: its header, and parse_item of each
+    object in its `key` list."""
+    body = document_body(source, "json", _ROOTS[kind])
     metadata = nested(body, "metadata", dict)
-    blocks = []
-    for payload in objects(body, "results"):
-        selections = objects(nested(payload, "reviewed-controls", dict), "control-selections")
-        reviewed = tuple(
-            text(entry.get("control-id"), "control-id")
-            for selection in selections
-            for entry in objects(selection, "include-controls")
-        )
-        blocks.append(
-            ResultBlock(
-                uuid=text(payload.get("uuid"), "uuid"),
-                title=text(payload.get("title"), "title"),
-                start=timestamp(payload, "start"),
-                end=timestamp(payload, "end"),
-                observations=tuple(
-                    map(_observation_from_dict, objects(payload, "observations"))
-                ),
-                findings=tuple(map(_finding_from_dict, objects(payload, "findings"))),
-                risks=tuple(map(_risk_from_dict, objects(payload, "risks"))),
-                reviewed_control_ids=reviewed,
-            )
-        )
-    return AssessmentResults(
+    items = tuple(map(parse_item, objects(body, key)))
+    return kind(
         uuid=text(body.get("uuid"), "uuid"),
         title=text(metadata.get("title"), "title"),
         version=text(metadata.get("version"), "version"),
         last_modified=timestamp(metadata, "last-modified"),
-        results=tuple(blocks),
+        **{key.replace("-", "_"): items},
     )
+
+
+def parse_results_document(source: bytes) -> AssessmentResults:
+    """Parse an assessment-results JSON document back into the model."""
+    return _parse_document(source, AssessmentResults, "results", _block_from_dict)
 
 
 def parse_poam_document(source: bytes) -> PoamDocument:
     """Parse a POA&M JSON document back into the model."""
-    body = document_body(source, "json", "plan-of-action-and-milestones")
-    metadata = nested(body, "metadata", dict)
-    items = []
-    for payload in objects(body, "poam-items"):
-        prop_map = _first_values(parse_props(payload, "poam item"))
-        items.append(
-            PoamItem(
-                uuid=text(payload.get("uuid"), "uuid"),
-                title=text(payload.get("title"), "title"),
-                description=text(payload.get("description"), "description"),
-                related_risk_uuid=prop_map.get("related-risk", ""),
-                status=_parsed(RiskStatus, prop_map.get("status", ""), "poam item status"),
-                treatment_id_ref=prop_map.get("treatment-id"),
-            )
-        )
-    return PoamDocument(
-        uuid=text(body.get("uuid"), "uuid"),
-        title=text(metadata.get("title"), "title"),
-        version=text(metadata.get("version"), "version"),
-        last_modified=timestamp(metadata, "last-modified"),
-        poam_items=tuple(items),
-    )
+    return _parse_document(source, PoamDocument, "poam-items", _poam_item_from_dict)

@@ -8,11 +8,14 @@ import logging
 import shutil
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
 
 from conftest import DEMO_DIR, FIG2_PLAN, SCENARIO_A_DATA, SCENARIO_A_PLAN
 from oscal_assure import cli, evidence
+from oscal_assure import plan as plan_module
 from oscal_assure.cli import main
 
 MONITORING_PLAN = """\
@@ -705,6 +708,55 @@ def test_enforce_and_run_write_the_same_results_and_poam(tmp_path):
     run_dir = tmp_path / "vault" / "runs" / "r"
     for name in ("assessment-results.oscal.json", "poam.oscal.json"):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+# --- an instant outside the years 1-9999 ---------------------------------------
+
+#: YAML timestamps whose UTC value falls one hour outside the years 1-9999.
+OUT_OF_RANGE_INSTANTS = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def _argv(command: str, policy: Path, tmp_path: Path) -> list[str]:
+    """The command's demo call, reading `policy` in place of the demo plan."""
+    argv = {
+        "validate": ["validate", str(SCENARIO_A_PLAN)],
+        "enforce": enforce_args(tmp_path),
+        "run": run_args(tmp_path / "vault"),
+        "trace": ["trace", str(SCENARIO_A_PLAN), "credit-gender-di"],
+    }[command]
+    return [str(policy) if arg == str(SCENARIO_A_PLAN) else arg for arg in argv]
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("instant", OUT_OF_RANGE_INSTANTS)
+@pytest.mark.parametrize("command", ["validate", "enforce", "run", "trace"])
+def test_a_plan_instant_outside_the_calendar_is_an_invalid_policy(
+    tmp_path, capsys, loader, instant, command
+):
+    policy = tmp_path / "plan.yaml"
+    policy.write_text(
+        SCENARIO_A_PLAN.read_text().replace(
+            'last-modified: "2026-03-02T09:15:00Z"', f"last-modified: {instant}"
+        )
+    )
+    with mock.patch.object(plan_module, "_YAML_LOADER", loader):
+        assert main(_argv(command, policy, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "invalid policy: bad last-modified" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("instant", OUT_OF_RANGE_INSTANTS)
+def test_report_on_results_with_an_instant_outside_the_calendar_exits_one(
+    pre_results_dir, capsys, instant
+):
+    document = json.loads((pre_results_dir / "assessment-results.oscal.json").read_text())
+    document["assessment-results"]["metadata"]["last-modified"] = instant
+    broken = pre_results_dir / "broken.json"
+    broken.write_text(json.dumps(document))
+    assert main(["report", str(broken)]) == 1
+    assert "cannot parse results: bad last-modified" in capsys.readouterr().err
 
 
 # --- report ---------------------------------------------------------------------

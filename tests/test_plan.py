@@ -393,6 +393,8 @@ HEX_PAST_THE_DIGIT_LIMIT = "0x" + "f" * 4000
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=200), st.sampled_from(["json", "yaml"]))
 @example(f"assessment-plan: {{metadata: {{title: {HEX_PAST_THE_DIGIT_LIMIT}}}}}".encode(), "yaml")
+@example(b"assessment-plan: {metadata: {last-modified: 0001-01-01T00:00:00+01:00}}", "yaml")
+@example(b"assessment-plan: {metadata: {last-modified: 9999-12-31T23:59:59-01:00}}", "yaml")
 def test_plan_parser_returns_or_raises_package_error_for_any_bytes(source, format):
     parses_or_raises_package_error(source, format)
 

@@ -299,6 +299,37 @@ def test_randomized_enforcement_invariants(seed):
         assert_structurally_valid(report.assessment_results, report.poam)
 
 
+def _results_uuids(results) -> set[str]:
+    return {results.uuid} | {
+        record.uuid
+        for block in results.results
+        for record in (block, *block.observations, *block.findings, *block.risks)
+    }
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_determinize_is_idempotent_and_maps_every_uuid(seed):
+    rng = random.Random(seed)
+    plan = random_plan(rng)
+    ctx = random_bound_table(rng)
+    determinized_plan, plan_map = determinize(plan)
+    assert determinize(determinized_plan)[0] == determinized_plan
+    assert plan.uuid in plan_map
+    for phase in (LifecyclePhase.TRAINING, LifecyclePhase.VALIDATION):
+        report = enforce_phase(plan, phase, ctx, default_registry())
+        results, mapping = determinize(report.assessment_results)
+        again, again_map = determinize(results)
+        assert again == results
+        assert _results_uuids(report.assessment_results) <= mapping.keys()
+        if report.poam is None:
+            continue
+        poam, poam_map = determinize(report.poam, reference_map=mapping)
+        assert determinize(poam, reference_map=again_map)[0] == poam
+        uuids = {report.poam.uuid} | {item.uuid for item in report.poam.poam_items}
+        assert uuids <= poam_map.keys()
+
+
 # --- built-in metrics against per-row reference loops ---------------------------
 # The per-row loops below are the metric passes as they were before the
 # built-ins shared one crosstab, with the column access they had then. Row

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from datetime import datetime, timedelta, timezone
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -24,9 +25,9 @@ from oscal_assure import (
     parse_results_document,
     serialize_canonical,
 )
-from oscal_assure.canonical import canonical_json_bytes
+from oscal_assure.canonical import canonical_json_bytes, format_timestamp, parse_timestamp
 from oscal_assure.errors import MalformedDocument, OscalAssureError, SerializationFailure
-from oscal_assure.plan import LifecyclePhase
+from oscal_assure.plan import LifecyclePhase, timestamp
 
 
 @pytest.fixture
@@ -308,3 +309,54 @@ def test_canonical_json_bytes_matches_json_dumps(payload):
         return (text + "\n").encode("utf-8")
 
     assert _encoded(canonical_json_bytes, payload) == _encoded(reference, payload)
+
+
+# --- instants ---------------------------------------------------------------------
+
+#: Every fixed UTC offset a datetime allows, to the minute.
+offsets = st.integers(-24 * 60 + 1, 24 * 60 - 1).map(lambda m: timezone(timedelta(minutes=m)))
+
+
+def _in_the_calendar(moment) -> bool:
+    """Whether the instant's UTC value falls in the years 1-9999."""
+    try:
+        moment.astimezone(timezone.utc)
+    except OverflowError:
+        return False
+    return True
+
+
+def test_a_plan_from_before_the_year_1000_round_trips():
+    source = b"""\
+assessment-plan:
+  metadata:
+    title: old plan
+    last-modified: 0999-01-02T00:00:00Z
+"""
+    plan = parse_plan_document(source, "yaml")
+    data = serialize_canonical(plan)
+    assert b'"last-modified": "0999-01-02T00:00:00.000Z"' in data
+    assert parse_plan_document(data) == plan
+
+
+@given(st.datetimes(timezones=offsets).filter(_in_the_calendar))
+def test_a_formatted_instant_parses_back_to_its_millisecond(moment):
+    truncated = moment.replace(microsecond=moment.microsecond // 1000 * 1000)
+    assert parse_timestamp(format_timestamp(moment)) == truncated
+
+
+def _read(payload: dict):
+    try:
+        return timestamp(payload, "last-modified")
+    except MalformedDocument:
+        return MalformedDocument
+
+
+@given(st.datetimes(timezones=st.none() | offsets))
+@example(datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1))))
+@example(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone(timedelta(hours=-1))))
+def test_a_yaml_timestamp_reads_like_its_text(moment):
+    text = moment.isoformat()
+    loaded = yaml.safe_load(f"last-modified: {text}")
+    assert loaded["last-modified"] == moment
+    assert _read(loaded) == _read({"last-modified": text})
