@@ -247,8 +247,7 @@ def cmd_enforce(args) -> int:
     for name in written:
         print(f"wrote {out_dir / name}")
     if report.blocked:
-        print("BLOCKED: a block-mode control failed; aborting.", file=sys.stderr)
-        return EXIT_BLOCKED
+        raise _Exit("BLOCKED: a block-mode control failed; aborting.", EXIT_BLOCKED)
     return EXIT_OK
 
 
@@ -295,8 +294,7 @@ def cmd_run(args) -> int:
     for name in bundle.written_files:
         print(f"  {name}")
     if not bundle.handshake_ok:
-        print(f"handshake failed: {_NO_PHASE}", file=sys.stderr)
-        return EXIT_ERROR
+        raise _Exit(f"handshake failed: {_NO_PHASE}")
     return EXIT_BLOCKED if blocked else EXIT_OK
 
 
@@ -305,29 +303,25 @@ def cmd_report(args) -> int:
     try:
         results = parse_results_document(results_path.read_bytes())
     except (OscalAssureError, OSError) as exc:
-        print(f"cannot parse results: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise _Exit(f"cannot parse results: {exc}") from exc
 
     violations = validate_document_structure(results)
     if violations:
-        for violation in violations:
-            print(f"structural violation at {violation}", file=sys.stderr)
-        return EXIT_INVALID_POLICY
+        raise _Exit("\n".join(f"structural violation at {v}" for v in violations),
+                    EXIT_INVALID_POLICY)
 
     poam = None
     poam_path = results_path.parent / POAM_FILE
     if poam_path.exists():
         try:
             poam = parse_poam_document(poam_path.read_bytes())
-        except (OscalAssureError, OSError) as exc:
-            print(f"note: ignoring sibling POA&M ({exc})", file=sys.stderr)
-        else:
             # a POA&M left by another run does not cover these results' risks
             mismatch = validate_document_structure(poam, results)
             if mismatch:
-                poam = None
-                print(f"note: ignoring sibling POA&M (it does not match the results: "
-                      f"{mismatch[0]})", file=sys.stderr)
+                raise MalformedDocument(f"it does not match the results: {mismatch[0]}")
+        except (OscalAssureError, OSError) as exc:
+            poam = None
+            print(f"note: ignoring sibling POA&M ({exc})", file=sys.stderr)
 
     if args.format == "json":
         sys.stdout.write(canonical_json_bytes(_report_payload(results, poam)).decode("utf-8"))
@@ -434,14 +428,12 @@ def cmd_trace(args) -> int:
             labels = {key: text(value, f"label {key!r}") for key, value in raw.items()}
         # ValueError covers undecodable bytes and bad JSON
         except (OSError, ValueError, RecursionError, MalformedDocument) as exc:
-            print(f"cannot read labels registry: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+            raise _Exit(f"cannot read labels registry: {exc}") from exc
 
     try:
         spec: ControlSpec = plan.control(args.control_id)
     except KeyError:
-        print(f"unknown control {args.control_id!r}", file=sys.stderr)
-        return EXIT_ERROR
+        raise _Exit(f"unknown control {args.control_id!r}") from None
 
     chain = trace_chain(spec, labels)
     for kind, identifier in reversed(chain.links):

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Policy-document errors map to CLI exit code 3, everything else to 1
-(2 is reserved for blocking control failures).
+A PolicyError raised while the CLI loads a plan exits 3, as do structural
+violations in the results `report` reads. Every other error exits 1,
+including a MalformedDocument raised while `report` parses results or
+`trace` reads labels (2 is reserved for blocking control failures).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ The readers here are shared by every OSCAL document parser (results and
 POA&Ms in serialize): one loader that checks the root, one check per
 nested object or list, and one rule that turns a scalar into text
 (canonical.cell_token, the spelling of table labels too), under which null
-reads as absent.
+reads as absent, and one that reports a token that does not parse as malformed.
 """
 
 from __future__ import annotations
@@ -196,25 +196,17 @@ class AssessmentPlan:
 
 def normalize_operator(token: str, control_id: str) -> Operator:
     """Accept symbolic ('>=') and word ('ge') forms, normalized to words."""
-    stripped = token.strip()
-    if stripped in _OPERATOR_ALIASES:
-        return _OPERATOR_ALIASES[stripped]
-    try:
-        return Operator(stripped)
-    except ValueError:
-        raise InvalidEnumValue(
-            f"control {control_id!r}: operator {token!r} is not one of "
-            f"gt/ge/lt/le/eq/ne or >, >=, <, <=, ==, !="
-        ) from None
+    return _parse_enum(Operator, token, control_id, "operator", _OPERATOR_ALIASES)
 
 
-def _parse_enum(enum_cls, token: str, control_id: str, prop: str):
+def _parse_enum(enum_cls, token: str, control_id: str, prop: str, aliases: dict | None = None):
+    """The member of enum_cls that token spells, by its value or one of aliases."""
+    spellings = {member.value: member for member in enum_cls} | (aliases or {})
     try:
-        return enum_cls(token.strip())
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_cls)
+        return spellings[token.strip()]
+    except KeyError:
         raise InvalidEnumValue(
-            f"control {control_id!r}: {prop} {token!r} is not one of {allowed}"
+            f"control {control_id!r}: {prop} {token!r} is not one of {', '.join(spellings)}"
         ) from None
 
 
@@ -366,10 +358,15 @@ def timestamp(payload: dict, key: str) -> datetime:
     token = text(payload.get(key), key, None)
     if token is None:
         return DETERMINISTIC_EPOCH
+    return parsed(parse_timestamp, token, key)
+
+
+def parsed(parse, token: str, what: str):
+    """parse(token), with a parse failure reported as a malformed document."""
     try:
-        return parse_timestamp(token)
+        return parse(token)
     except (ValueError, OverflowError) as exc:
-        raise MalformedDocument(f"bad {key} {token!r}") from exc
+        raise MalformedDocument(f"bad {what} {token!r}") from exc
 
 
 def _load_yaml(source: bytes):

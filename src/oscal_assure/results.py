@@ -5,6 +5,7 @@ structural validator (the in-library approximation of schema checking).
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -141,133 +142,104 @@ class StructuralViolation:
 _MANDATORY_FACETS = ("metric", "actual", "threshold", "operator")
 
 
-def _check_uuid(uuid: str, path: str, violations: list[StructuralViolation]) -> None:
+def _uuid(uuid: str, path: str) -> Iterator[StructuralViolation]:
     if not uuid or not str(uuid).strip():
-        violations.append(StructuralViolation(path, "uuid-missing", "uuid is empty"))
+        yield StructuralViolation(path, "uuid-missing", "uuid is empty")
 
 
-def _validate_results(doc: AssessmentResults) -> list[StructuralViolation]:
-    violations: list[StructuralViolation] = []
-    _check_uuid(doc.uuid, "assessment-results", violations)
+def _references(
+    path: str, source: str, target: str, refs: tuple[str, ...], known: Collection[str] = ()
+) -> Iterator[StructuralViolation]:
+    """The reference-missing rule: the `source` at path references at least
+    one `target`, and each of refs is in known."""
+    if not refs:
+        yield StructuralViolation(path, "reference-missing", f"{source} references no {target}")
+    for ref in refs:
+        if ref not in known:
+            yield StructuralViolation(
+                path, "reference-missing", f"{source} references unknown {target} {ref}"
+            )
+
+
+def _results_violations(doc: AssessmentResults) -> Iterator[StructuralViolation]:
+    yield from _uuid(doc.uuid, "assessment-results")
     for b, block in enumerate(doc.results):
         base = f"results[{b}]"
-        _check_uuid(block.uuid, base, violations)
+        yield from _uuid(block.uuid, base)
         if block.end < block.start:
-            violations.append(
-                StructuralViolation(base, "time-order", "end precedes start")
-            )
+            yield StructuralViolation(base, "time-order", "end precedes start")
         observation_uuids = set()
         for i, obs in enumerate(block.observations):
             path = f"{base}.observations[{i}]"
-            _check_uuid(obs.uuid, path, violations)
+            yield from _uuid(obs.uuid, path)
             observation_uuids.add(obs.uuid)
-            if obs.observed_value is None or not math.isfinite(obs.observed_value):
-                if not obs.remarks:
-                    violations.append(
-                        StructuralViolation(
-                            path,
-                            "value-not-finite",
-                            "observation has no finite value and no explanatory remark",
-                        )
-                    )
+            finite = obs.observed_value is not None and math.isfinite(obs.observed_value)
+            if not finite and not obs.remarks:
+                yield StructuralViolation(
+                    path,
+                    "value-not-finite",
+                    "observation has no finite value and no explanatory remark",
+                )
         findings: dict[str, Finding] = {}
         for i, finding in enumerate(block.findings):
             path = f"{base}.findings[{i}]"
-            _check_uuid(finding.uuid, path, violations)
+            yield from _uuid(finding.uuid, path)
             findings[finding.uuid] = finding
-            if not finding.related_observation_uuids:
-                violations.append(
-                    StructuralViolation(
-                        path, "reference-missing", "finding references no observation"
-                    )
-                )
-            for ref in finding.related_observation_uuids:
-                if ref not in observation_uuids:
-                    violations.append(
-                        StructuralViolation(
-                            path,
-                            "reference-missing",
-                            f"finding references unknown observation {ref}",
-                        )
-                    )
+            refs = finding.related_observation_uuids
+            yield from _references(path, "finding", "observation", refs, observation_uuids)
         for i, risk in enumerate(block.risks):
             path = f"{base}.risks[{i}]"
-            _check_uuid(risk.uuid, path, violations)
+            yield from _uuid(risk.uuid, path)
+            yield from _references(path, "risk", "finding", (risk.linked_finding_uuid,), findings)
             linked = findings.get(risk.linked_finding_uuid)
-            if linked is None:
-                violations.append(
-                    StructuralViolation(
-                        path,
-                        "reference-missing",
-                        f"risk references unknown finding {risk.linked_finding_uuid}",
-                    )
-                )
-            elif risk.status is RiskStatus.OPEN and linked.status is FindingStatus.SATISFIED:
+            if (linked is not None and risk.status is RiskStatus.OPEN
+                    and linked.status is FindingStatus.SATISFIED):
                 # a risk is raised only by a failed finding: an edited state shows here
-                violations.append(
-                    StructuralViolation(
-                        path,
-                        "risk-status",
-                        f"open risk links to satisfied finding {risk.linked_finding_uuid}",
-                    )
+                yield StructuralViolation(
+                    path,
+                    "risk-status",
+                    f"open risk links to satisfied finding {risk.linked_finding_uuid}",
                 )
             present = {name for name, _ in risk.facets}
             for required in _MANDATORY_FACETS:
                 if required not in present:
-                    violations.append(
-                        StructuralViolation(
-                            path, "facet-missing", f"risk lacks facet {required!r}"
-                        )
+                    yield StructuralViolation(
+                        path, "facet-missing", f"risk lacks facet {required!r}"
                     )
-    return violations
 
 
-def _validate_poam(
+def _poam_violations(
     doc: PoamDocument, results: AssessmentResults | None
-) -> list[StructuralViolation]:
-    violations: list[StructuralViolation] = []
-    _check_uuid(doc.uuid, "poam", violations)
+) -> Iterator[StructuralViolation]:
+    yield from _uuid(doc.uuid, "poam")
     seen_risks: dict[str, int] = {}
     for i, item in enumerate(doc.poam_items):
         path = f"poam-items[{i}]"
-        _check_uuid(item.uuid, path, violations)
+        yield from _uuid(item.uuid, path)
         if not item.related_risk_uuid:
-            violations.append(
-                StructuralViolation(path, "reference-missing", "item references no risk")
-            )
-            continue
-        if item.related_risk_uuid in seen_risks:
-            violations.append(
-                StructuralViolation(
-                    path,
-                    "poam-cardinality",
-                    f"risk {item.related_risk_uuid} already covered by "
-                    f"poam-items[{seen_risks[item.related_risk_uuid]}]",
-                )
+            yield from _references(path, "item", "risk", ())
+        elif item.related_risk_uuid in seen_risks:
+            yield StructuralViolation(
+                path,
+                "poam-cardinality",
+                f"risk {item.related_risk_uuid} already covered by "
+                f"poam-items[{seen_risks[item.related_risk_uuid]}]",
             )
         else:
             seen_risks[item.related_risk_uuid] = i
-    if results is not None:
-        known = {risk.uuid: risk for risk in results.all_risks()}
-        for i, item in enumerate(doc.poam_items):
-            if item.related_risk_uuid and item.related_risk_uuid not in known:
-                violations.append(
-                    StructuralViolation(
-                        f"poam-items[{i}]",
-                        "reference-missing",
-                        f"item references unknown risk {item.related_risk_uuid}",
-                    )
-                )
-        for uuid, risk in known.items():
-            if risk.status is RiskStatus.OPEN and uuid not in seen_risks:
-                violations.append(
-                    StructuralViolation(
-                        "poam-items",
-                        "poam-cardinality",
-                        f"open risk {uuid} has no poam item",
-                    )
-                )
-    return violations
+    if results is None:
+        return
+    known = {risk.uuid: risk for risk in results.all_risks()}
+    for i, item in enumerate(doc.poam_items):
+        if item.related_risk_uuid:
+            yield from _references(
+                f"poam-items[{i}]", "item", "risk", (item.related_risk_uuid,), known
+            )
+    for uuid, risk in known.items():
+        if risk.status is RiskStatus.OPEN and uuid not in seen_risks:
+            yield StructuralViolation(
+                "poam-items", "poam-cardinality", f"open risk {uuid} has no poam item"
+            )
 
 
 def validate_document_structure(
@@ -282,7 +254,7 @@ def validate_document_structure(
     checks the one-item-per-open-risk contract.
     """
     if isinstance(doc, AssessmentResults):
-        return _validate_results(doc)
+        return list(_results_violations(doc))
     if isinstance(doc, PoamDocument):
-        return _validate_poam(doc, results)
+        return list(_poam_violations(doc, results))
     raise TypeError(f"cannot validate {type(doc).__name__}")

@@ -32,6 +32,7 @@ from .plan import (
     nested,
     objects,
     parse_props,
+    parsed,
     text,
     timestamp,
 )
@@ -294,7 +295,7 @@ def serialize_canonical(doc: Document) -> bytes:
 
     violations = validate_document_structure(doc)
     if violations:
-        summary = "; ".join(f"{v.path}: {v.message}" for v in violations[:5])
+        summary = "; ".join(map(str, violations[:5]))
         raise SerializationFailure(
             f"document fails structural validation ({len(violations)} violation(s)): {summary}"
         )
@@ -306,17 +307,9 @@ def serialize_canonical(doc: Document) -> bytes:
 # --- dict/json -> document ---------------------------------------------------
 
 
-def _parsed(parse, token: str, what: str):
-    """parse(token), with a parse failure reported as a malformed document."""
-    try:
-        return parse(token)
-    except (ValueError, OverflowError) as exc:
-        raise MalformedDocument(f"bad {what} {token!r}") from exc
-
-
 def _finite(token: str, what: str) -> float:
     """A float prop; the writer never emits nan or inf, so neither is read."""
-    value = _parsed(float, token, what)
+    value = parsed(float, token, what)
     if not math.isfinite(value):
         raise MalformedDocument(f"bad {what} {token!r}: not finite")
     return value
@@ -341,7 +334,7 @@ def _observation_from_dict(payload: dict) -> Observation:
                 raise MalformedDocument(f"bad group-rate entry {prop.value!r}")
             per_group[label] = _finite(rate, "group-rate")
     methods = nested(payload, "methods", list) or ["TEST"]
-    method = _parsed(ObservationMethod, text(methods[0], "method"), "observation method")
+    method = parsed(ObservationMethod, text(methods[0], "method"), "observation method")
     return Observation(
         uuid=text(payload.get("uuid"), "uuid"),
         title=text(payload.get("title"), "title"),
@@ -352,7 +345,7 @@ def _observation_from_dict(payload: dict) -> Observation:
         relevant_control_id=prop_map.get("control-id", ""),
         per_group=per_group or None,
         stratum=prop_map.get("stratum"),
-        excluded_rows=_parsed(int, prop_map.get("excluded-rows", "0"), "excluded-rows"),
+        excluded_rows=parsed(int, prop_map.get("excluded-rows", "0"), "excluded-rows"),
         remarks=text(payload.get("remarks"), "remarks", None),
     )
 
@@ -364,7 +357,7 @@ def _finding_from_dict(payload: dict) -> Finding:
         uuid=text(payload.get("uuid"), "uuid"),
         title=text(payload.get("title"), "title"),
         target_control_id=text(target.get("target-id"), "target-id"),
-        status=_parsed(FindingStatus, state, "finding state"),
+        status=parsed(FindingStatus, state, "finding state"),
         related_observation_uuids=tuple(
             text(ref.get("observation-uuid"), "observation-uuid")
             for ref in objects(payload, "related-observations")
@@ -383,7 +376,7 @@ def _risk_from_dict(payload: dict) -> Risk:
     return Risk(
         uuid=text(payload.get("uuid"), "uuid"),
         title=text(payload.get("title"), "title"),
-        status=_parsed(RiskStatus, text(payload.get("status"), "status"), "risk status"),
+        status=parsed(RiskStatus, text(payload.get("status"), "status"), "risk status"),
         facets=facets,
         linked_finding_uuid=prop_map.get("linked-finding", ""),
         risk_id_ref=prop_map.get("risk-id"),
@@ -416,7 +409,7 @@ def _poam_item_from_dict(payload: dict) -> PoamItem:
         title=text(payload.get("title"), "title"),
         description=text(payload.get("description"), "description"),
         related_risk_uuid=prop_map.get("related-risk", ""),
-        status=_parsed(RiskStatus, prop_map.get("status", ""), "poam item status"),
+        status=parsed(RiskStatus, prop_map.get("status", ""), "poam item status"),
         treatment_id_ref=prop_map.get("treatment-id"),
     )
 

@@ -394,7 +394,7 @@ def bind_roles(
     target_positive = _check_binary(table, target, "target", target_positive)
     if prediction is not None:
         if prediction_positive is None:
-            raise ValueError("prediction binding requires an explicit positive label")
+            raise DataError("prediction binding requires an explicit positive label")
         prediction_positive = _check_binary(
             table, prediction, "prediction", prediction_positive
         )

@@ -105,6 +105,48 @@ def test_validate_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 1
 
 
+ONE_CONTROL_PLAN = """\
+assessment-plan:
+  metadata:
+    title: "one control"
+  control-implementations:
+    - implemented-requirements:
+        - control-id: c1
+          props:
+            - {{name: metric_key, value: accuracy}}
+            - {{name: operator, value: "{operator}"}}
+            - {{name: threshold, value: "0.5"}}
+            - {{name: metric_param, value: "{param}"}}
+"""
+
+
+@pytest.mark.parametrize(
+    "operator, param, message",
+    [
+        ("=>", "a=1", "operator '=>' is not one of gt, ge, lt, le, eq, ne, >, >=, <, <=, ==, !="),
+        (">=", "privileged", "metric_param 'privileged' must look like key=value"),
+    ],
+    ids=["operator", "metric-param"],
+)
+def test_validate_refuses_a_bad_operator_or_metric_param_with_exit_three(
+    tmp_path, capsys, operator, param, message
+):
+    policy = tmp_path / "plan.yaml"
+    policy.write_text(ONE_CONTROL_PLAN.format(operator=operator, param=param))
+    assert main(["validate", str(policy)]) == 3
+    assert capsys.readouterr().err == f"invalid policy: control 'c1': {message}\n"
+
+
+def test_validate_a_policy_with_an_unknown_extension_is_a_usage_error(tmp_path, capsys):
+    policy = tmp_path / "plan.txt"
+    policy.write_text(ONE_CONTROL_PLAN.format(operator="ge", param="a=1"))
+    assert main(["validate", str(policy)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: cannot infer policy format from extension '.txt' "
+        "(use .json, .yaml, or .yml)\n"
+    )
+
+
 # --- enforce --------------------------------------------------------------------
 
 
@@ -609,6 +651,18 @@ def test_run_with_an_undecodable_lockfile_exits_one_and_leaves_no_run_directory(
     assert list((tmp_path / "vault" / "runs").iterdir()) == []
 
 
+def test_run_with_an_unparsable_lockfile_line_exits_one_and_leaves_no_run_directory(
+    tmp_path, capsys
+):
+    lockfile = tmp_path / "requirements-lock.txt"
+    lockfile.write_text("a b c\n")
+    args = ["run", "r", str(SCENARIO_A_PLAN), "--bom", str(lockfile),
+            "--vault", str(tmp_path / "vault")]
+    assert main(args) == 1
+    assert "line 1: expected 'name==version' or 'name version'" in capsys.readouterr().err
+    assert list((tmp_path / "vault" / "runs").iterdir()) == []
+
+
 @pytest.mark.parametrize("run_id", ["nl\n", ".", ".."])
 def test_run_refuses_an_unsafe_run_id_and_creates_no_run(tmp_path, capsys, run_id):
     vault = tmp_path / "vault"
@@ -884,6 +938,27 @@ def test_report_malformed_results_exits_one(pre_results_dir, capsys, corrupt):
     broken.write_text(json.dumps(document))
     assert main(["report", str(broken)]) == 1
     assert "cannot parse results" in capsys.readouterr().err
+
+
+def test_report_on_a_group_rate_without_an_equals_sign_exits_one(pre_results_dir, capsys):
+    document = json.loads((pre_results_dir / "assessment-results.oscal.json").read_text())
+    _set_group_rate(document, "female")
+    broken = pre_results_dir / "broken.json"
+    broken.write_text(json.dumps(document))
+    assert main(["report", str(broken)]) == 1
+    assert capsys.readouterr().err == "cannot parse results: bad group-rate entry 'female'\n"
+
+
+def test_report_prints_a_not_computable_value_as_it_is(tmp_path, capsys, overflowing_weights):
+    plan, data = overflowing_weights
+    out = tmp_path / "out"
+    flags = ["--target", "y:1", "--group", "g", "--weight", "w", "--out", str(out)]
+    assert main(["enforce", str(plan), str(data), *flags]) == 2
+    capsys.readouterr()
+    assert main(["report", str(out / "assessment-results.oscal.json")]) == 0
+    risks = [line for line in capsys.readouterr().out.splitlines() if "RISK" in line]
+    assert len(risks) == 1
+    assert risks[0].endswith(": disparate_impact not-computable gt 0.800")
 
 
 def _set_observed_value(document: dict, value: str) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from datetime import timedelta
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
 from oscal_assure import (
     BlockingControlFailure,
     MetricContext,
+    MetricOutcome,
     VerdictOutcome,
     bind_roles,
     compare,
@@ -183,6 +185,20 @@ def test_unknown_metric_is_a_not_satisfied_evaluation_error(small_ctx, registry)
     assert verdict.outcome is VerdictOutcome.NOT_SATISFIED
     assert verdict.finding.remarks == "evaluation-error"
     assert verdict.observations[0].remarks.startswith("evaluation-error")
+    assert dict(verdict.risk.facets)["actual"] == "not-computable"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_metric_with_a_non_finite_value_is_a_not_satisfied_evaluation_error(
+    small_ctx, registry, value
+):
+    registry.register("non_finite", lambda ctx: MetricOutcome(value=value), {"target"})
+    plan = make_plan([make_control("nf1", metric_key="non_finite")])
+    (verdict,) = enforce_phase(plan, LifecyclePhase.TRAINING, small_ctx, registry).verdicts
+    assert verdict.outcome is VerdictOutcome.NOT_SATISFIED
+    assert verdict.observations[0].remarks == (
+        "evaluation-error: metric 'non_finite' produced a non-finite value"
+    )
     assert dict(verdict.risk.facets)["actual"] == "not-computable"
 
 

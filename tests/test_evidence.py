@@ -170,6 +170,16 @@ def test_tampering_detected_by_reverification(session, tmp_path):
     assert verify_artifact_records(records) == ["tampered.txt"]
 
 
+def test_reverification_names_a_record_whose_file_was_deleted(session, tmp_path):
+    kept = tmp_path / "kept.txt"
+    gone = tmp_path / "gone.txt"
+    kept.write_bytes(b"kept")
+    gone.write_bytes(b"gone")
+    records = [record_artifact(session, kept), record_artifact(session, gone)]
+    gone.unlink()
+    assert verify_artifact_records(records) == ["gone.txt"]
+
+
 def test_hashing_reader_digests_the_bytes_read_through_it(session, tmp_path):
     source = tmp_path / "data.bin"
     source.write_bytes(bytes(range(256)) * 1000)

@@ -164,6 +164,21 @@ def test_di_privileged_override():
     assert outcome.value == pytest.approx(0.5, abs=1e-12)
 
 
+def test_di_over_a_subnormal_privileged_rate_is_not_computable():
+    # group a's weighted rate is 5e-324 / (5e-324 + 1), a subnormal: b's rate over it is inf
+    ctx = ctx_of(
+        ["g", "y", "w"],
+        [["a", "1", "5e-324"], ["a", "0", "1"], ["b", "1", "1"]],
+        group="g",
+        weight="w",
+    )
+    ctx = MetricContext(ctx.table, ctx.bindings, {"privileged": "a"}, "target")
+    with pytest.raises(NotComputable, match="^disparate impact is not finite$"):
+        disparate_impact(ctx)
+    with pytest.raises(NotComputable, match="^disparate impact is not finite$"):
+        default_registry().evaluate("disparate_impact", ctx)
+
+
 def test_dp_difference_on_group_rates_fixture(group_rates_fixture_ctx):
     outcome = demographic_parity_difference(group_rates_fixture_ctx)
     assert outcome.value == pytest.approx(0.0748, abs=0.0001)

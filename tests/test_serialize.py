@@ -27,7 +27,7 @@ from oscal_assure import (
 )
 from oscal_assure.canonical import canonical_json_bytes, format_timestamp, parse_timestamp
 from oscal_assure.errors import MalformedDocument, OscalAssureError, SerializationFailure
-from oscal_assure.plan import LifecyclePhase, timestamp
+from oscal_assure.plan import LifecyclePhase, PropertyEntry, timestamp
 
 
 @pytest.fixture
@@ -141,6 +141,33 @@ def test_plan_serializes_deterministically_too(scenario_a_plan):
     rebuilt = json.loads(first)
     assert rebuilt["assessment-plan"]["uuid"] != scenario_a_plan.uuid
     assert serialize_canonical(scenario_a_plan) != first  # plain keeps the uuid
+
+
+def test_a_foreign_namespace_prop_keeps_its_ns_through_a_round_trip():
+    source = b"""\
+assessment-plan:
+  metadata:
+    title: namespaced plan
+  control-implementations:
+    - implemented-requirements:
+        - control-id: c1
+          props:
+            - {name: metric_key, value: accuracy}
+            - {name: operator, value: ge}
+            - {name: threshold, value: "0.5"}
+            - {name: severity, value: high, ns: "urn:example:other"}
+"""
+    plan = parse_plan_document(source, "yaml")
+    foreign = PropertyEntry("severity", "high", "urn:example:other")
+    assert plan.controls[0].extra_props == (foreign,)
+    assert parse_plan_document(serialize_canonical(plan)) == plan
+
+
+def test_a_plan_with_duplicate_control_ids_fails_to_serialize(scenario_a_plan):
+    spec = scenario_a_plan.controls[0]
+    plan = dataclasses.replace(scenario_a_plan, controls=(spec, spec))
+    with pytest.raises(SerializationFailure, match="^plan has duplicate control ids$"):
+        serialize_canonical(plan)
 
 
 def test_canonical_output_is_utf8_lf_two_space_indented(pre_report):

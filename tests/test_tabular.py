@@ -313,6 +313,12 @@ def test_bind_roles_missing_column():
         bind_roles(table, "nope", "1")
 
 
+def test_bind_roles_refuses_a_prediction_without_a_positive_label_as_a_data_error():
+    table = table_from_rows(["y", "p"], [["1", "1"], ["0", "0"]])
+    with pytest.raises(DataError, match="^prediction binding requires an explicit positive"):
+        bind_roles(table, "y", "1", prediction="p", prediction_positive=None)
+
+
 def test_bind_roles_rejects_three_valued_target():
     table = table_from_rows(["y"], [["a"], ["b"], ["c"]])
     with pytest.raises(NonBinaryTarget):
