@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 #: validate, report and trace never load them; `cli.<name>` binds them too. A
 #: name already set on this module (a test's patch, a span wrapper) is kept.
 _LAYER_NAMES = {
-    "enforcement": ("VerdictOutcome", "enforce_phase", "read_columns"),
+    "enforcement": ("VerdictOutcome", "_with_joint_count", "enforce_phase", "read_columns"),
     "evidence": (
         "ArtifactRole", "HashingReader", "capture_environment", "document_files",
         "finalize_session", "ingest_dependency_manifest", "open_session", "record_artifact",
@@ -196,9 +196,12 @@ def _evaluate(
 ) -> list[PhaseReport]:
     """The reports of the phases, in order, up to and including the first
     blocked one, each verdict table printed as its phase ends. A phase
-    whose controls need roles that ctx does not bind is skipped with a note."""
+    whose controls need roles that ctx does not bind is skipped with a note.
+    The rows are counted once, over the columns of every phase's controls."""
     registry = default_registry()
     mode = EnforcementMode(mode_override) if mode_override else None
+    specs = [spec for spec in plan.controls if not spec.lifecycle_phases.isdisjoint(phases)]
+    ctx = _with_joint_count(specs, ctx, registry)
     reports = []
     for phase in phases:
         try:
@@ -343,12 +346,12 @@ def cmd_report(args) -> int:
                 print(f"    {obs.title}: group rates {rates}")
         for risk in block.risks:
             facets = {name: value for name, value in risk.facets}
+            metric = facets.get("metric", "?")
+            # the engine's titles end in the metric, which is then not repeated
+            title = risk.title if risk.title.endswith(metric) else f"{risk.title}: {metric}"
             actual = _round_token(facets.get("actual", "?"))
             threshold = _round_token(facets.get("threshold", "?"))
-            line = (
-                f"  RISK {risk.title}: {facets.get('metric', '?')} {actual} "
-                f"{facets.get('operator', '?')} {threshold}"
-            )
+            line = f"  RISK {title} {actual} {facets.get('operator', '?')} {threshold}"
             if "affected-groups" in facets:
                 line += f" (groups: {facets['affected-groups']})"
             print(line)

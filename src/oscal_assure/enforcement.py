@@ -184,7 +184,8 @@ def _with_joint_count(
     """ctx with one count of its rows over every column that the executable
     built-in controls among specs may read: the bound roles, group
     overrides and stratify_by columns, plus the weight. A column the table
-    lacks is left out, so only the control that names it fails on it."""
+    lacks is left out, so only the control that names it fails on it. A
+    ctx.joint that holds every such column is kept (the CLI's run count)."""
     readers = [
         s for s in specs if skip_reason(s) is None and registry.reads_joint_count(s.metric_key)
     ]
@@ -193,6 +194,8 @@ def _with_joint_count(
         return ctx
     names = read_columns(readers, [b.target, b.prediction, b.group, ctx.params.get("group")])
     present = [n for n in names if ctx.table.has_column(n)]
+    if ctx.joint is not None and set(present) <= set(ctx.joint.names):
+        return ctx
     weight = b.weight if b.weight is not None and ctx.table.has_column(b.weight) else None
     return dataclasses.replace(ctx, joint=count_rows(ctx.table, present, weight))
 
@@ -392,6 +395,8 @@ def enforce_phase(
     controls (complete evidence); the report is then blocked and the
     caller aborts at the process boundary after the phase. Roles that the
     selected controls need and ctx does not bind raise PolicyDataMismatch first.
+    The phase's rows are counted once, unless ctx.joint already holds every
+    column its controls read (_with_joint_count).
     """
     selected = select_controls(plan, phase)
     unbound = [

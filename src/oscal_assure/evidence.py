@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -138,21 +139,20 @@ def open_session(run_id: str, vault_root: str | os.PathLike | None = None) -> Ru
     runs_dir = root / "runs"
     try:
         runs_dir.mkdir(parents=True, exist_ok=True)
+        taken = set(os.listdir(runs_dir))
     except OSError as exc:
         raise UnwritableVault(f"cannot create vault at {root}: {exc}") from exc
 
-    # mkdir is the claim: a concurrent run that took the name first makes
-    # it raise FileExistsError, and this run tries the next suffix
-    effective = run_id
-    suffix = 2
-    while True:
+    # the first of run_id, run_id-2, ... that runs/ lacks; mkdir is the claim:
+    # a concurrent run that took it first makes this run try the next one
+    names = itertools.chain([run_id], (f"{run_id}-{n}" for n in itertools.count(2)))
+    for effective in itertools.filterfalse(taken.__contains__, names):
         run_dir = runs_dir / effective
         try:
             run_dir.mkdir()
             break
         except FileExistsError:
-            effective = f"{run_id}-{suffix}"
-            suffix += 1
+            continue
         except OSError as exc:
             raise UnwritableVault(f"cannot create run directory {run_dir}: {exc}") from exc
 

@@ -14,13 +14,13 @@ import sys
 from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable
 
 from .canonical import cell_token
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
-from .tabular import DataTable, RoleBindings, code_format
+from .tabular import DataTable, Encoded, RoleBindings, code_format
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class MetricContext:
     bindings: RoleBindings | None = None
     params: dict[str, str] = field(default_factory=dict)
     evaluate_on: str = "target"
-    #: Set by enforce_phase: the phase's rows counted once (a stratum's
+    #: Set by enforce_phase or the CLI: the rows counted once (a stratum's
     #: share of them for a stratified control). Built-ins read it, not table.
     joint: JointCount | None = None
 
@@ -129,68 +129,77 @@ class JointCount:
     cells: dict[tuple[str | None, ...], list]
 
 
-#: Rows whose keys are laid out at a time, so that the keys in memory take
-#: at most 8 bytes per row of one block, however long the table.
+#: Rows whose keys are built at a time, so that the keys in memory take at
+#: most 8 bytes per row of one block, however long the table.
 _KEY_ROWS = 1 << 14
 
 
 def _row_keys(
-    columns: list[memoryview], row_count: int
-) -> tuple[Iterable[Hashable], Callable[[Hashable], tuple[int, ...]]]:
-    """A key for each row that stands for its tuple of codes, and the
-    function that turns a key back into the tuple.
-
-    A row's codes are copied byte for byte, side by side, into one
-    fixed-width lane of a buffer, which is then read as one unsigned integer
-    per row: an integer is cheaper to count than a tuple. The lanes are laid
-    out _KEY_ROWS rows at a time. When a row's codes take more than 8 bytes,
-    the keys are the tuples."""
-    # "=": native byte order, and the codes side by side with no padding
-    layout = struct.Struct("=" + "".join(codes.format for codes in columns))
-    if layout.size > 8:
-        return zip(*columns), tuple
-    fmt = code_format(1 << 8 * layout.size)
+    encodings: list[Encoded], row_count: int
+) -> tuple[Iterable[Sequence[Hashable]], int, Callable[[list], Sequence[tuple[int, ...]]]]:
+    """The rows' keys, _KEY_ROWS rows at a time, the bits a key takes, and
+    the function that turns a list of keys into the rows' tuples of codes.
+    Column k takes bit_length(len(dictionaries[k]) - 1) bits of one integer
+    per row, built in C as the OR of each column's codes read as one big
+    integer and shifted to its bits. Keys of up to 8 bits come as bytes;
+    past 64 bits the keys are the tuples."""
+    columns = [codes for codes, _ in encodings]
+    widths = [(len(dictionary) - 1).bit_length() for _, dictionary in encodings]
+    *shifts, bits = accumulate(widths, initial=0)
+    if bits > 64:
+        return [zip(*columns)], bits, list
+    fmt = code_format(1 << bits)
     width = struct.calcsize(fmt)
 
-    def block(start: int) -> memoryview:
-        lanes = bytearray(width * min(_KEY_ROWS, row_count - start))
-        at = 0
-        for codes in columns:
-            raw = codes[start : start + _KEY_ROWS].cast("B")
-            for b in range(codes.itemsize):
-                lanes[at + b :: width] = raw[b :: codes.itemsize]
-            at += codes.itemsize
-        return memoryview(lanes).cast(fmt)
+    def block(start: int) -> Sequence[int]:
+        rows = min(_KEY_ROWS, row_count - start)
+        packed = 0
+        for codes, shift in zip(columns, shifts):
+            raw = codes[start : start + rows]
+            if codes.itemsize < width:  # each code widened to the keys' width
+                raw, step = bytearray(width * rows), width // codes.itemsize
+                low = 0 if sys.byteorder == "little" else step - 1
+                memoryview(raw).cast(codes.format)[low::step] = codes[start : start + rows]
+            packed |= int.from_bytes(raw, sys.byteorder) << shift
+        keys = packed.to_bytes(width * rows, sys.byteorder)
+        return keys if width == 1 else memoryview(keys).cast(fmt)
 
-    keys = chain.from_iterable(map(block, range(0, row_count, _KEY_ROWS)))
-    return keys, lambda key: layout.unpack_from(key.to_bytes(width, sys.byteorder))
+    def decode(keys: list[int]) -> Sequence[tuple[int, ...]]:
+        fields = [[key >> shift & (1 << w) - 1 for key in keys] for shift, w in zip(shifts, widths)]
+        return list(zip(*fields)) if fields else [()] * len(keys)
+
+    return map(block, range(0, row_count, _KEY_ROWS)), bits, decode
 
 
 def count_rows(table: DataTable, names: Sequence[str], weight: str | None = None) -> JointCount:
-    """One pass over the rows' codes; cell_token runs once per dictionary
-    entry. The weight stays out of the key because it is often distinct
-    per row."""
+    """One pass over the rows' bit-packed codes (_row_keys); cell_token runs
+    once per dictionary entry. The weight stays out of the key because it
+    is often distinct per row."""
     encodings = [table.encoding(name) for name in names]
-    keys, decode = _row_keys([codes for codes, _ in encodings], table.row_count)
+    blocks, bits, decode = _row_keys(encodings, table.row_count)
     if weight is None:
-        raw = {decode(key): [n, 0, [n]] for key, n in Counter(keys).items()}
+        counts: Counter[Hashable] = Counter()
+        per_value = bits <= 5  # up to 32 values, one bytes.count each beats a Counter
+        for keys in blocks:
+            counts.update({k: keys.count(k) for k in range(1 << bits)} if per_value else keys)
+        raw = {key: [n, 0, [n]] for key, n in counts.items() if n}
     else:
         weight_codes, weights = table.encoding(weight)
         masses_of = [None if w is None else float(w) for w in weights]
         groups: dict[Hashable, list[float | None]] = {}
-        for key, code in zip(keys, weight_codes):
+        for key, code in zip(chain.from_iterable(blocks), weight_codes):
             groups.setdefault(key, []).append(masses_of[code])
         raw = {}
         for key, ws in groups.items():
             masses = [w for w in ws if w is not None]
-            raw[decode(key)] = [len(ws), len(ws) - len(masses), masses]
+            raw[key] = [len(ws), len(ws) - len(masses), masses]
     tokens = [
         [None if cell is None else cell_token(cell) for cell in dictionary]
         for _, dictionary in encodings
     ]
     cells: dict[tuple[str | None, ...], list] = {}
-    for key, cell in raw.items():
-        labels = tuple(map(list.__getitem__, tokens, key))
+    for codes, cell in zip(decode(list(raw)), raw.values()):
+        labels = tuple(map(list.__getitem__, tokens, codes))
         # values that share a token (None aside) are one cell
         if labels in cells:
             cell = [a + b for a, b in zip(cells[labels], cell)]

@@ -190,7 +190,8 @@ def _results_violations(doc: AssessmentResults) -> Iterator[StructuralViolation]
         for i, risk in enumerate(block.risks):
             path = f"{base}.risks[{i}]"
             yield from _uuid(risk.uuid, path)
-            yield from _references(path, "risk", "finding", (risk.linked_finding_uuid,), findings)
+            refs = (risk.linked_finding_uuid,) if risk.linked_finding_uuid else ()
+            yield from _references(path, "risk", "finding", refs, findings)
             linked = findings.get(risk.linked_finding_uuid)
             if (linked is not None and risk.status is RiskStatus.OPEN
                     and linked.status is FindingStatus.SATISFIED):

@@ -15,7 +15,7 @@ from collections import defaultdict
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from typing import BinaryIO
 
 from .canonical import cell_token
@@ -242,7 +242,9 @@ def _read_fields(
     distinct raw field's code, and the row count. Raises DataError
     for an empty input, a ragged row, unreadable CSV or a duplicate header
     name."""
-    reader = csv.reader(text)
+    # the BOM is dropped here: a reading utf-8-sig decoder drops a truncated one
+    head = text.readline().removeprefix("\ufeff")
+    reader = csv.reader(chain([head] if head else [], text))
     try:
         first = next(reader, None)
         if first is None:
@@ -314,7 +316,7 @@ def load_table(source: bytes | BinaryIO, columns: Collection[str] | None = None)
     cell costs about 1 byte.
     """
     stream = source if hasattr(source, "read") else io.BytesIO(source)
-    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
+    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
     try:
         try:
             names, codes, fields, row_count = _read_fields(text, columns)

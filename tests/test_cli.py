@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from conftest import DEMO_DIR, FIG2_PLAN, SCENARIO_A_DATA, SCENARIO_A_PLAN
-from oscal_assure import cli, evidence
+from oscal_assure import cli, enforcement, evidence, metrics
 from oscal_assure import plan as plan_module
 from oscal_assure.cli import main
 
@@ -447,6 +447,21 @@ def test_run_mode_override_monitor_covers_both_phases(tmp_path):
     assert handshake["phase_count"] == 2
 
 
+def test_run_counts_the_rows_once_over_the_columns_of_both_phases(tmp_path, monkeypatch):
+    counted = []
+    original_count = metrics.count_rows
+
+    def recording_count(table, names, weight=None):
+        counted.append(tuple(names))
+        return original_count(table, names, weight)
+
+    monkeypatch.setattr(enforcement, "count_rows", recording_count)
+    monkeypatch.setattr(metrics, "count_rows", recording_count)
+    assert main(run_args(tmp_path / "vault", "--mode-override", "monitor")) == 0
+    # training reads age_group through a group override; validation does not
+    assert counted == [("class", "prediction", "gender", "age_group")]
+
+
 @pytest.mark.parametrize(
     "extra,read",
     [
@@ -836,6 +851,23 @@ def test_report_shows_risk_row_and_group_rates(pre_results_dir, capsys):
     assert "T-018" in out
 
 
+def test_report_prints_each_risk_metric_once(pre_results_dir, capsys):
+    path = pre_results_dir / "assessment-results.oscal.json"
+    assert main(["report", str(path)]) == 0
+    risks = [line for line in capsys.readouterr().out.splitlines() if "RISK" in line]
+    assert risks == [
+        "  RISK Control credit-age-di not satisfied: disparate_impact 0.286 gt 0.500"
+        " (groups: mature, young)"
+    ]
+    # a title that does not name the metric is followed by it
+    path.write_text(path.read_text().replace(
+        '"Control credit-age-di not satisfied: disparate_impact"', '"Age disparity"'
+    ))
+    assert main(["report", str(path)]) == 0
+    risks = [line for line in capsys.readouterr().out.splitlines() if "RISK" in line]
+    assert risks == ["  RISK Age disparity: disparate_impact 0.286 gt 0.500 (groups: mature, young)"]
+
+
 def test_report_json_format(pre_results_dir, capsys):
     code = main(
         ["report", str(pre_results_dir / "assessment-results.oscal.json"), "--format", "json"]
@@ -885,6 +917,19 @@ def test_report_rejects_a_flipped_finding_that_still_carries_its_risk(pre_result
     captured = capsys.readouterr()
     assert "structural violation at results[0].risks[0]: [risk-status]" in captured.err
     assert "[PASS]" not in captured.out
+
+
+def test_report_names_a_risk_that_references_no_finding(pre_results_dir, capsys):
+    path = pre_results_dir / "assessment-results.oscal.json"
+    document = json.loads(path.read_text())
+    risk = document["assessment-results"]["results"][0]["risks"][0]
+    risk["props"] = [prop for prop in risk["props"] if prop["name"] != "linked-finding"]
+    path.write_text(json.dumps(document))
+    assert main(["report", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "structural violation at results[0].risks[0]: [reference-missing] "
+        "risk references no finding\n"
+    )
 
 
 def test_report_missing_file_exits_one(tmp_path):

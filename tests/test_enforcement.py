@@ -28,6 +28,7 @@ from oscal_assure import (
     trace_chain,
     validate_document_structure,
 )
+from oscal_assure import enforcement, metrics
 from oscal_assure.enforcement import EnforcementAction, SkipReason, read_columns
 from oscal_assure.errors import PolicyDataMismatch
 from oscal_assure.plan import (
@@ -209,6 +210,40 @@ def test_read_columns_names_the_roles_then_each_controls_group_and_strata():
         make_control("plain"),
     ]
     assert read_columns(specs, ["y", None, "g", "w"]) == ["y", "g", "w", "site", "age"]
+
+
+def test_a_phase_keeps_a_joint_count_that_holds_its_columns(
+    scenario_a_plan, scenario_a_ctx, registry, monkeypatch
+):
+    # the count of every phase's columns, as the CLI makes it once per run
+    shared = enforcement._with_joint_count(
+        list(scenario_a_plan.controls), scenario_a_ctx, registry
+    )
+    counted = []
+
+    def recording(table, names, weight=None):
+        counted.append(tuple(names))
+        return metrics.count_rows(table, names, weight)
+
+    monkeypatch.setattr(enforcement, "count_rows", recording)
+    for phase in (LifecyclePhase.TRAINING, LifecyclePhase.VALIDATION):
+        alone = enforce_phase(scenario_a_plan, phase, scenario_a_ctx, registry)
+        kept = enforce_phase(scenario_a_plan, phase, shared, registry)
+        assert [
+            (obs.observed_value, obs.per_group, obs.excluded_rows)
+            for v in kept.verdicts for obs in v.observations
+        ] == [
+            (obs.observed_value, obs.per_group, obs.excluded_rows)
+            for v in alone.verdicts for obs in v.observations
+        ]
+    assert counted == [
+        ("class", "prediction", "gender", "age_group"), ("class", "prediction", "gender")
+    ]
+    # a count that lacks a column the phase reads is not kept
+    narrow = dataclasses.replace(shared, joint=metrics.JointCount(("class",), {}))
+    enforce_phase(scenario_a_plan, LifecyclePhase.VALIDATION, narrow, registry)
+    assert counted[-1] == ("class", "prediction", "gender")
+    assert len(counted) == 3
 
 
 def test_broken_stratification_fails_closed_without_crashing_the_phase(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import sys
 import threading
 import weakref
@@ -69,6 +70,27 @@ def test_run_id_collision_appends_suffix(tmp_path):
     third = open_session("credit-scoring", vault_root=tmp_path)
     assert second.run_id == "credit-scoring-2"
     assert third.run_id == "credit-scoring-3"
+
+
+def test_a_run_id_takes_its_first_free_suffix_in_one_claim(tmp_path, monkeypatch):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "credit-scoring").mkdir()
+    for n in range(2, 3001):
+        (runs / f"credit-scoring-{n}").mkdir()
+    made = []
+    original_mkdir = os.mkdir
+
+    def recording_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return original_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", recording_mkdir)
+    assert open_session("credit-scoring", vault_root=tmp_path).run_id == "credit-scoring-3001"
+    assert len(made) <= 2
+    # a gap left by a deleted run is the next name
+    (runs / "credit-scoring-3").rmdir()
+    assert open_session("credit-scoring", vault_root=tmp_path).run_id == "credit-scoring-3"
 
 
 def test_concurrent_sessions_with_one_id_each_get_their_own_directory(tmp_path):

@@ -1176,14 +1176,23 @@ def _reference_count_rows(table: DataTable, names, weight) -> dict:
 
 
 #: Distinct values a column of the count_rows property draws from: past 256
-#: present values, codes take two bytes, and a row's codes past 8 bytes
-#: (9 or 18 columns) are counted as tuples.
-COUNT_POOL_SIZES = [1, 2, 5, 16, 1000]
+#: present values, codes take two bytes. A column of n values takes
+#: bit_length(n - 1) bits of a row's key, and keys past 64 bits (up to 18
+#: columns of 10 bits) are counted as tuples.
+COUNT_POOL_SIZES = [1, 2, 5, 16, 40, 1000]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0), st.booleans())
 @example(seed=0, weighted=False)
+# one seed for each key class: up to 5 bits (counted per key value), 6 to 8,
+# 9 to 16, 17 to 32, 33 to 64, and past 64 bits (tuples)
+@example(seed=1, weighted=False)
+@example(seed=15, weighted=False)
+@example(seed=3, weighted=True)
+@example(seed=0, weighted=True)
+@example(seed=17, weighted=False)
+@example(seed=9, weighted=True)
 def test_count_rows_matches_a_per_row_count(seed, weighted):
     rng = random.Random(seed)
     width = rng.choice([0, 1, 2, 3, 4, 8, 9, 18])
@@ -1204,6 +1213,34 @@ def test_count_rows_matches_a_per_row_count(seed, weighted):
     with mock.patch.object(metrics, "_KEY_ROWS", rng.choice([1, 7, 64, metrics._KEY_ROWS])):
         joint = metrics.count_rows(table, names, weight)
     assert joint.names == tuple(names)
+    assert {
+        key: [n, unweighted, sorted(masses)] for key, (n, unweighted, masses) in joint.cells.items()
+    } == _reference_count_rows(table, names, weight)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("bits", [0, 5, 6, 8, 9, 16, 17, 32, 33, 64, 65])
+def test_count_rows_at_each_key_width(bits, weighted):
+    rng = random.Random(bits)
+    rows = 300
+    # columns of at most 8 bits that take `bits` together, then one of 0 bits;
+    # a column of w bits holds the fewest values that take them, None first
+    widths = [8] * (bits // 8) + [bits % 8] * (bits % 8 > 0) + [0]
+    columns = []
+    for w in widths:
+        values = [None, *range(1, (1 << w - 1) + 1 if w else 1)]
+        column = values + [rng.choice(values) for _ in range(rows - len(values))]
+        rng.shuffle(column)
+        columns.append(column)
+    weights = [rng.choice([None, 0, 0.5, 3.0, rng.random()]) for _ in range(rows)]
+    names = [f"c{k}" for k in range(len(widths))]
+    table = DataTable(
+        (*names, "w"), (ColumnType.INTEGER,) * (len(names) + 1), (*columns, weights), rows
+    )
+    assert metrics._row_keys([table.encoding(n) for n in names], rows)[1] == bits
+    weight = "w" if weighted else None
+    with mock.patch.object(metrics, "_KEY_ROWS", 64):  # four full blocks and a part
+        joint = metrics.count_rows(table, names, weight)
     assert {
         key: [n, unweighted, sorted(masses)] for key, (n, unweighted, masses) in joint.cells.items()
     } == _reference_count_rows(table, names, weight)

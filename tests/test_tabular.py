@@ -268,6 +268,16 @@ def test_non_utf8_rejected():
         load_table(b"a,b\n\xff\xfe,2\n")
 
 
+@pytest.mark.parametrize("source", [b"\xef", b"\xef\xbb"], ids=["one-byte", "two-bytes"])
+def test_an_input_that_is_a_truncated_bom_is_undecodable(source):
+    # not an empty input: a reading utf-8-sig decoder drops these bytes
+    for given in (source, io.BytesIO(source)):
+        with pytest.raises(UndecodableBytes, match="in position 0"):
+            load_table(given)
+    with pytest.raises(EmptyInput):
+        load_table(b"\xef\xbb\xbf")
+
+
 def test_decimal_boolean_and_missing_inference():
     table = load_table(b"x,flag,name\n1.5,true,ann\n2,false,\n,true,bo\n")
     assert table.column_types == (
