@@ -158,12 +158,13 @@ def _add_evaluation_flags(parser: argparse.ArgumentParser, target_required: bool
     )
 
 
+#: A line of the verdict table: the header and every row share its widths.
+_VERDICT_ROW = "{:<24} {:<30} {:>8} {:<3} {:>8} {:<30} {}"
+
+
 def _print_verdict_table(report: PhaseReport, plan: AssessmentPlan) -> None:
     print(f"phase: {report.phase.value}")
-    header = (
-        f"{'CONTROL':<24} {'METRIC':<30} {'VALUE':>8} {'OP':<3} "
-        f"{'THRESH':>8} {'RESULT':<30} ACTION"
-    )
+    header = _VERDICT_ROW.format("CONTROL", "METRIC", "VALUE", "OP", "THRESH", "RESULT", "ACTION")
     print(header)
     print("-" * len(header))
     for verdict in report.verdicts:
@@ -176,15 +177,10 @@ def _print_verdict_table(report: PhaseReport, plan: AssessmentPlan) -> None:
             result = "FAIL"
         else:
             result = f"SKIP ({verdict.skip_reason.value})"
-        print(
-            f"{verdict.control_id:<24} "
-            f"{spec.metric_key:<30} "
-            f"{value_text:>8} "
-            f"{spec.operator.value:<3} "
-            f"{spec.threshold:>8.3f} "
-            f"{result:<30} "
-            f"{verdict.enforcement_action_taken.value}"
-        )
+        print(_VERDICT_ROW.format(
+            verdict.control_id, spec.metric_key, value_text, spec.operator.value,
+            f"{spec.threshold:.3f}", result, verdict.enforcement_action_taken.value,
+        ))
     print()
 
 

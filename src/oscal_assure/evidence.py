@@ -283,7 +283,7 @@ def ingest_dependency_manifest(session: RunSession, path: str | os.PathLike) -> 
     session._check_open()
     source = Path(path)
     try:
-        text = source.read_text(encoding="utf-8")
+        text = source.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UnparsableManifest(f"{source}: not valid UTF-8: {exc}") from exc
     pairs: set[tuple[str, str]] = set()

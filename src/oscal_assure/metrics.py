@@ -18,9 +18,8 @@ from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Callable
 
-from .canonical import cell_token
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
-from .tabular import DataTable, Encoded, RoleBindings, code_format
+from .tabular import DataTable, Encoded, RoleBindings, code_format, dictionary_tokens
 
 
 @dataclass(frozen=True)
@@ -171,11 +170,16 @@ def _row_keys(
     return map(block, range(0, row_count, _KEY_ROWS)), bits, decode
 
 
-def count_rows(table: DataTable, names: Sequence[str], weight: str | None = None) -> JointCount:
+def count_rows(
+    table: DataTable, names: Sequence[str], weight: str | None = None, *, tokens: list | None = None
+) -> JointCount:
     """One pass over the rows' bit-packed codes (_row_keys); cell_token runs
-    once per dictionary entry. The weight stays out of the key because it
-    is often distinct per row."""
+    once per dictionary entry, and not at all when the caller gives tokens,
+    tokens[k] being the dictionary_tokens of names[k]. The weight stays out
+    of the key because it is often distinct per row."""
     encodings = [table.encoding(name) for name in names]
+    if tokens is None:
+        tokens = [dictionary_tokens(dictionary) for _, dictionary in encodings]
     blocks, bits, decode = _row_keys(encodings, table.row_count)
     if weight is None:
         counts: Counter[Hashable] = Counter()
@@ -193,10 +197,6 @@ def count_rows(table: DataTable, names: Sequence[str], weight: str | None = None
         for key, ws in groups.items():
             masses = [w for w in ws if w is not None]
             raw[key] = [len(ws), len(ws) - len(masses), masses]
-    tokens = [
-        [None if cell is None else cell_token(cell) for cell in dictionary]
-        for _, dictionary in encodings
-    ]
     cells: dict[tuple[str | None, ...], list] = {}
     for codes, cell in zip(decode(list(raw)), raw.values()):
         labels = tuple(map(list.__getitem__, tokens, codes))
@@ -417,7 +417,9 @@ def group_reweight(ctx: MetricContext) -> list[float]:
     Rows missing group or outcome get a neutral weight of 1.0.
     """
     names = (_group_column(ctx), _column(ctx, _bindings(ctx).target))
-    cells = {key: cell[0] for key, cell in count_rows(ctx.table, names).cells.items()
+    # each entry is spelled once, for the count and the rows' lookups alike
+    tokens = [dictionary_tokens(ctx.table.encoding(name)[1]) for name in names]
+    cells = {key: cell[0] for key, cell in count_rows(ctx.table, names, tokens=tokens).cells.items()
              if None not in key}
     if not cells:
         raise NotComputable("no rows with group and outcome present")
@@ -432,11 +434,10 @@ def group_reweight(ctx: MetricContext) -> list[float]:
         (gl, yl): group_counts[gl] * class_counts[yl] / (observed * n)
         for (gl, yl), n in cells.items()
     }
-    group, target = map(ctx.table.column, names)
-    return [
-        1.0 if g is None or y is None else cell_weight[(cell_token(g), cell_token(y))]
-        for g, y in zip(group, target)
-    ]
+    row_tokens = zip(*(
+        map(column.__getitem__, ctx.table.encoding(name)[0]) for name, column in zip(names, tokens)
+    ))
+    return [1.0 if g is None or y is None else cell_weight[g, y] for g, y in row_tokens]
 
 
 #: The built-in metrics: key, function, roles read.

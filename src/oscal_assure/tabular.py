@@ -258,10 +258,11 @@ def _read_fields(
         fields: list[defaultdict[str, int]] = [defaultdict(count().__next__) for _ in keep]
         sinks = [(i, codes.append, code) for i, codes, code in zip(keep, encoded, fields)]
         row_count = 0
+        width = len(header)
         for row in reader:
-            if len(row) != len(header):
+            if len(row) != width:
                 raise RaggedRows(
-                    f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                    f"line {reader.line_num}: expected {width} cells, got {len(row)}"
                 )
             for i, append, code in sinks:
                 try:
@@ -358,11 +359,17 @@ def dump_table(table: DataTable) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def dictionary_tokens(dictionary: Iterable[Cell]) -> list[str | None]:
+    """The cell_token of each dictionary entry, in code order; a missing
+    cell stays None."""
+    return [None if cell is None else cell_token(cell) for cell in dictionary]
+
+
 def _check_binary(table: DataTable, name: str, role: str, positive: str) -> str:
     """Check that a column is binary and, when it holds two values, that
     the positive label is one of them. Returns the label as cell_token
     spells it (boolean labels match case-insensitively)."""
-    distinct = {cell_token(v) for v in table.encoding(name)[1] if v is not None}
+    distinct = set(dictionary_tokens(table.encoding(name)[1])) - {None}
     if len(distinct) > 2:
         raise NonBinaryTarget(
             f"{role} column {name!r} has {len(distinct)} distinct values, expected <= 2"
@@ -458,24 +465,18 @@ def stratify(table: DataTable, by: str) -> list[tuple[str, DataTable]]:
     Strata are ordered by label and together cover every row exactly once.
     """
     codes, dictionary = stratum_encoding(table, by)
-    groups: dict[int, list[int]] = {}
+    # each entry is spelled once; None and "" are unequal but share the label ""
+    labels = list(map(cell_token, dictionary))
+    rows: dict[str, list[int]] = {label: [] for label in sorted(labels)}
+    # one pass in row order, so each label's rows arrive ascending
+    appends = [rows[label].append for label in labels]
     for i, code in enumerate(codes):
-        groups.setdefault(code, []).append(i)
-    # None and "" are unequal but share the label "": their rows merge
-    labelled: dict[str, list[int]] = {}
-    for code, indexes in groups.items():
-        labelled.setdefault(cell_token(dictionary[code]), []).extend(indexes)
+        appends[code](i)
 
-    strata = []
-    for label in sorted(labelled):
-        indexes = sorted(labelled[label])
-        columns = [_subset(*column, indexes) for column in zip(table.codes, table.dictionaries)]
-        strata.append(
-            (
-                label,
-                DataTable._from_encoded(
-                    table.column_names, table.column_types, len(indexes), columns
-                ),
-            )
-        )
-    return strata
+    return [
+        (label, DataTable._from_encoded(
+            table.column_names, table.column_types, len(indexes),
+            [_subset(*column, indexes) for column in zip(table.codes, table.dictionaries)],
+        ))
+        for label, indexes in rows.items()
+    ]

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import logging
+import os
 import shutil
 import weakref
 from pathlib import Path
@@ -666,15 +667,24 @@ def test_run_with_an_undecodable_lockfile_exits_one_and_leaves_no_run_directory(
     assert list((tmp_path / "vault" / "runs").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a b c", "line 1: expected 'name==version' or 'name version'"),
+        ("numpy==", "line 1: empty name or version in 'numpy=='"),
+        ("==1.0", "line 1: empty name or version in '==1.0'"),
+    ],
+    ids=["not-a-pair", "no-version", "no-name"],
+)
 def test_run_with_an_unparsable_lockfile_line_exits_one_and_leaves_no_run_directory(
-    tmp_path, capsys
+    tmp_path, capsys, line, message
 ):
     lockfile = tmp_path / "requirements-lock.txt"
-    lockfile.write_text("a b c\n")
+    lockfile.write_text(f"{line}\n")
     args = ["run", "r", str(SCENARIO_A_PLAN), "--bom", str(lockfile),
             "--vault", str(tmp_path / "vault")]
     assert main(args) == 1
-    assert "line 1: expected 'name==version' or 'name version'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert list((tmp_path / "vault" / "runs").iterdir()) == []
 
 
@@ -691,6 +701,26 @@ def test_run_data_without_target_is_a_usage_error_before_the_data_is_read(tmp_pa
             "--vault", str(tmp_path / "vault")]
     assert main(args) == 1
     assert capsys.readouterr().err == "usage error: --target is required when --data is given\n"
+
+
+def test_run_whose_run_directory_cannot_be_made_exits_one_with_one_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    original_mkdir = os.mkdir
+
+    def refusing_mkdir(path, *args, **kwargs):
+        if os.path.basename(path) == "credit-scoring":
+            raise PermissionError(13, "Permission denied", str(path))
+        return original_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", refusing_mkdir)
+    assert main(run_args(tmp_path / "vault")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    run_dir = tmp_path / "vault" / "runs" / "credit-scoring"
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot create run directory {run_dir}: ")
+    assert line.endswith(f"Permission denied: {str(run_dir)!r}")
 
 
 def test_run_unwritable_vault_exits_one(tmp_path):

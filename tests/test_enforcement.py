@@ -613,3 +613,38 @@ def test_validator_names_each_rule_and_path(scenario_a_plan, scenario_a_ctx, reg
     edit, expected = BROKEN_DOCUMENTS[case]
     document = edit(report.assessment_results, report.poam)
     assert [(v.rule, v.path) for v in validate_document_structure(document)] == expected
+
+
+def _training_results_with_risks(plan, ctx, registry, *edits):
+    """The training results with their one risk replaced by one edited copy
+    of it per edit, each under its own uuid."""
+    results = enforce_phase(plan, LifecyclePhase.TRAINING, ctx, registry).assessment_results
+    (block,) = results.results
+    (risk,) = block.risks
+    risks = tuple(
+        dataclasses.replace(risk, uuid=f"{risk.uuid[:-1]}{n}", **edit)
+        for n, edit in enumerate(edits)
+    )
+    return dataclasses.replace(results, results=(dataclasses.replace(block, risks=risks),))
+
+
+def test_poam_has_one_item_for_one_open_and_one_closed_risk(
+    scenario_a_plan, scenario_a_ctx, registry
+):
+    results = _training_results_with_risks(
+        scenario_a_plan, scenario_a_ctx, registry,
+        {"status": RiskStatus.OPEN}, {"status": RiskStatus.CLOSED},
+    )
+    open_risk, _ = results.results[0].risks
+    (item,) = generate_poam(results, scenario_a_plan).poam_items
+    assert item.related_risk_uuid == open_risk.uuid
+
+
+def test_poam_describes_a_risk_without_facets_with_placeholders(
+    scenario_a_plan, scenario_a_ctx, registry
+):
+    results = _training_results_with_risks(
+        scenario_a_plan, scenario_a_ctx, registry, {"facets": ()}
+    )
+    (item,) = generate_poam(results, scenario_a_plan).poam_items
+    assert item.description == "metric was ?, required ? ?."

@@ -441,3 +441,49 @@ def test_each_payload_is_freed_before_the_next_is_built(tmp_path):
 
     assert write_files(tmp_path, files()) == ["a", "b", "c"]
     assert [p.read_bytes() for p in sorted(tmp_path.iterdir())] == [b"x" * 10] * 3
+
+
+def test_a_lockfile_saved_with_a_bom_names_its_first_component_without_it(session, tmp_path):
+    manifest = tmp_path / "bom-prefixed.txt"
+    manifest.write_bytes(b"\xef\xbb\xbfnumpy==1.26.4\npyyaml==6.0.1\n")
+    bom = ingest_dependency_manifest(session, manifest)
+    assert [(c.name, c.version) for c in bom.components] == [
+        ("numpy", "1.26.4"),
+        ("pyyaml", "6.0.1"),
+    ]
+
+
+@pytest.mark.parametrize("line", ["numpy==", "==1.0"])
+def test_a_manifest_line_without_a_name_or_version_is_unparsable(session, tmp_path, line):
+    manifest = tmp_path / "half.txt"
+    manifest.write_text(f"{line}\n")
+    with pytest.raises(UnparsableManifest, match="line 1: empty name or version"):
+        ingest_dependency_manifest(session, manifest)
+
+
+# --- run directory claims -----------------------------------------------------------
+
+
+def test_a_run_directory_claimed_after_the_listing_pushes_the_run_to_the_next_name(
+    tmp_path, monkeypatch
+):
+    open_session("credit-scoring", vault_root=tmp_path)
+    # the listing misses runs/credit-scoring, as if another run made it just after
+    monkeypatch.setattr(os, "listdir", lambda path: [])
+    session = open_session("credit-scoring", vault_root=tmp_path)
+    assert session.run_id == "credit-scoring-2"
+    assert session.run_dir.is_dir()
+
+
+def test_a_run_directory_that_cannot_be_made_is_an_unwritable_vault(tmp_path, monkeypatch):
+    original_mkdir = os.mkdir
+
+    def refusing_mkdir(path, *args, **kwargs):
+        if os.path.basename(path) == "r":
+            raise PermissionError(13, "Permission denied", str(path))
+        return original_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", refusing_mkdir)
+    with pytest.raises(UnwritableVault, match="cannot create run directory .*Permission denied"):
+        open_session("r", vault_root=tmp_path)
+    assert list((tmp_path / "runs").iterdir()) == []

@@ -8,6 +8,7 @@ from conftest import table_from_rows
 from oscal_assure import (
     MetricContext,
     MetricOutcome,
+    RoleBindings,
     bind_roles,
     class_imbalance_ratio,
     confusion_metrics,
@@ -16,14 +17,17 @@ from oscal_assure import (
     disparate_impact,
     group_positive_rates,
     group_reweight,
+    stratify,
 )
+from oscal_assure import metrics, tabular
+from oscal_assure.canonical import cell_token
 from oscal_assure.errors import (
     DuplicateKey,
     MissingRole,
     NotComputable,
     UnknownMetricKey,
 )
-from oscal_assure.metrics import accuracy, dice, sensitivity, specificity
+from oscal_assure.metrics import accuracy, count_rows, dice, sensitivity, specificity
 
 
 def ctx_of(header, rows, target="y", positive="1", **kwargs) -> MetricContext:
@@ -339,3 +343,52 @@ def test_reweight_missing_rows_get_neutral_weight():
     ctx = ctx_of(["g", "y"], [["A", "1"], ["", "0"], ["A", "0"]], group="g")
     weights = group_reweight(ctx)
     assert weights[1] == 1.0
+
+
+# --- direct calls --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fn, bindings, evaluate_on, message",
+    [
+        (class_imbalance_ratio, None, "target", "no role bindings in context"),
+        (group_positive_rates, RoleBindings("y", "1", group="g"), "prediction",
+         "prediction column is not bound"),
+        (accuracy, RoleBindings("y", "1", group="g"), "target",
+         "confusion metrics need a bound prediction column"),
+    ],
+)
+def test_a_builtin_called_without_its_roles_names_the_missing_one(
+    fn, bindings, evaluate_on, message
+):
+    table = table_from_rows(["g", "y"], [["A", "1"], ["B", "0"]])
+    ctx = MetricContext(table, bindings, evaluate_on=evaluate_on)
+    with pytest.raises(MissingRole) as raised:
+        fn(ctx)
+    assert str(raised.value) == message
+
+
+# --- one spelling per dictionary entry ----------------------------------------
+
+
+@pytest.mark.parametrize("operation", ["stratify", "count_rows", "group_reweight"])
+def test_table_operations_spell_each_dictionary_entry_at_most_once(monkeypatch, operation):
+    rows = [[g, y] for g in ("a", "b", "c", "") for y in ("0", "1", "")] * 40
+    ctx = ctx_of(["g", "y"], rows, group="g")
+    read = {"stratify": ["g"], "count_rows": ["g", "y"], "group_reweight": ["g", "y"]}[operation]
+    entries = sum(len(ctx.table.encoding(name)[1]) for name in read)
+    spelled = []
+
+    def counting_token(cell):
+        spelled.append(cell)
+        return cell_token(cell)
+
+    monkeypatch.setattr(tabular, "cell_token", counting_token)
+    monkeypatch.setattr(metrics, "cell_token", counting_token, raising=False)
+    if operation == "stratify":
+        stratify(ctx.table, "g")
+    elif operation == "count_rows":
+        count_rows(ctx.table, ["g", "y"])
+    else:
+        group_reweight(ctx)
+    assert 0 < len(spelled) <= entries

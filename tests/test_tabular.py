@@ -444,6 +444,24 @@ def test_stratify_merges_values_that_share_a_label_in_row_order():
     assert [(label, t.column("i")) for label, t in strata] == [("", (1, 2, 4)), ("a", (0, 3))]
 
 
+@pytest.mark.parametrize("first", ["", None])
+def test_a_missing_cell_and_an_empty_one_make_one_stratum_in_ascending_rows(first):
+    other = None if first == "" else ""
+    cells = (first, "b", other, first, other, "b", other, first)
+    table = DataTable(
+        column_names=("g", "i"),
+        column_types=(ColumnType.CATEGORICAL, ColumnType.INTEGER),
+        columns=(cells, tuple(range(len(cells)))),
+        row_count=len(cells),
+    )
+    (empty_label, empty), (b_label, b) = stratify(table, "g")
+    assert (empty_label, b_label) == ("", "b")
+    assert empty.column("i") == (0, 2, 3, 4, 6, 7)
+    assert empty.column("g") == (first, other, first, other, other, first)
+    assert empty.dictionaries[0] == (first, other)
+    assert b.column("i") == (1, 5)
+
+
 def test_stratify_single_valued_column_yields_whole_table():
     table = table_from_rows(["g", "y"], [["A", "1"], ["A", "0"]])
     strata = stratify(table, "g")
