@@ -420,7 +420,7 @@ def cmd_trace(args) -> int:
     labels = None
     if args.labels:
         try:
-            raw = json.loads(Path(args.labels).read_text(encoding="utf-8"))
+            raw = json.loads(Path(args.labels).read_text(encoding="utf-8-sig"))
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
             # by the documents' text rule: a null label reads as empty, so none is printed

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .canonical import random_uuid, utc_now
 from .errors import BlockingControlFailure, NotComputable, OscalAssureError, PolicyDataMismatch
-from .metrics import JointCount, MetricContext, MetricOutcome, MetricRegistry, count_rows
+from .metrics import MetricContext, MetricOutcome, MetricRegistry, _joint_strata, count_rows
 from .plan import (
     AssessmentPlan,
     ControlSpec,
@@ -40,7 +40,7 @@ from .results import (
     Risk,
     RiskStatus,
 )
-from .tabular import stratify, stratum_encoding
+from .tabular import stratify
 
 logger = logging.getLogger(__name__)
 
@@ -183,36 +183,25 @@ def _with_joint_count(
 ) -> MetricContext:
     """ctx with one count of its rows over every column that the executable
     built-in controls among specs may read: the bound roles, group
-    overrides and stratify_by columns, plus the weight. A column the table
-    lacks is left out, so only the control that names it fails on it. A
-    ctx.joint that holds every such column is kept (the CLI's run count)."""
+    overrides and stratify_by columns, plus the weight; with no count when
+    specs hold no such control. A column the table lacks is left out, so
+    only the control that names it fails on it. A ctx.joint that holds
+    every such column is kept (the CLI's run count)."""
     readers = [
         s for s in specs if skip_reason(s) is None and registry.reads_joint_count(s.metric_key)
     ]
+    if not readers:
+        return dataclasses.replace(ctx, joint=None)
     b = ctx.bindings
-    if not readers or b is None:
-        return ctx
-    names = read_columns(readers, [b.target, b.prediction, b.group, ctx.params.get("group")])
+    roles = [] if b is None else [b.target, b.prediction, b.group]
+    names = read_columns(readers, [*roles, ctx.params.get("group")])
     present = [n for n in names if ctx.table.has_column(n)]
     if ctx.joint is not None and set(present) <= set(ctx.joint.names):
         return ctx
-    weight = b.weight if b.weight is not None and ctx.table.has_column(b.weight) else None
+    weight = None if b is None else b.weight
+    if weight is not None and not ctx.table.has_column(weight):
+        weight = None
     return dataclasses.replace(ctx, joint=count_rows(ctx.table, present, weight))
-
-
-def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]]:
-    """stratify's strata as shares of ctx.joint: same labels, order and
-    errors (a missing cell and "" share the label ""), and no copied row."""
-    stratum_encoding(ctx.table, by)  # refuses a column stratify refuses
-    joint = ctx.joint
-    at = joint.names.index(by)
-    buckets: dict[str, dict] = {}
-    for key, cell in joint.cells.items():
-        buckets.setdefault(key[at] or "", {})[key] = cell
-    return [
-        (label, dataclasses.replace(ctx, joint=JointCount(joint.names, buckets[label])))
-        for label in sorted(buckets)
-    ]
 
 
 def _observation(
@@ -269,16 +258,14 @@ def _evaluate_strata(
     """Yield each stratum's label (None when unstratified) with the metric's
     outcome or the error it raised. A stratification that fails or yields
     no stratum is one unlabelled stratum whose evaluation failed, so the
-    phase goes on and the control cannot pass on no evidence. Built-in
-    metrics read strata of ctx.joint when it is set; otherwise each stratum
-    is a stratified table."""
-    if not registry.reads_joint_count(spec.metric_key):
-        ctx = dataclasses.replace(ctx, joint=None)
+    phase goes on and the control cannot pass on no evidence. A built-in
+    metric reads shares of ctx.joint, which holds its columns
+    (_with_joint_count); a registered one reads stratify's tables."""
     if spec.stratify_by is None:
         strata = [(None, ctx)]
     else:
         try:
-            if ctx.joint is not None:
+            if registry.reads_joint_count(spec.metric_key):
                 strata = _joint_strata(ctx, spec.stratify_by)
             else:
                 strata = [
@@ -328,7 +315,8 @@ def evaluate_control(
     observations: list[Observation] = []
     failures: list[Observation] = []
     evaluation_error = False
-    for stratum, result in _evaluate_strata(spec, control_context(spec, ctx), registry):
+    ctx = control_context(spec, _with_joint_count([spec], ctx, registry))
+    for stratum, result in _evaluate_strata(spec, ctx, registry):
         if isinstance(result, OscalAssureError):
             evaluation_error = True
             outcome, passed = None, False

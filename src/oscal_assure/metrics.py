@@ -19,7 +19,9 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
-from .tabular import DataTable, Encoded, RoleBindings, code_format, dictionary_tokens
+from .tabular import (
+    DataTable, Encoded, RoleBindings, code_format, dictionary_tokens, stratum_encoding,
+)
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,9 @@ class MetricContext:
     bindings: RoleBindings | None = None
     params: dict[str, str] = field(default_factory=dict)
     evaluate_on: str = "target"
-    #: Set by enforce_phase or the CLI: the rows counted once (a stratum's
-    #: share of them for a stratified control). Built-ins read it, not table.
+    #: Set by enforce_phase, evaluate_control or the CLI: the rows counted
+    #: once (a stratum's share of them for a stratified control). Built-ins
+    #: read it, not table.
     joint: JointCount | None = None
 
 
@@ -48,54 +51,43 @@ class MetricOutcome:
 MetricFunction = Callable[[MetricContext], MetricOutcome]
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    """A registered metric function and the roles it needs bound."""
-
-    fn: MetricFunction
-    required_roles: frozenset[str]
-
-
 class MetricRegistry:
-    """Maps metric_key tokens to functions. Register everything up front;
-    evaluation never mutates the registry."""
+    """Maps metric_key tokens to functions and the roles they read. Register
+    everything up front; evaluation never mutates the registry."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, RegistryEntry] = {}
+        self._entries: dict[str, tuple[MetricFunction, frozenset[str]]] = {}
 
     def register(self, key: str, fn: MetricFunction,
                  required_roles: set[str] | frozenset[str] = frozenset()) -> None:
         if key in self._entries:
             raise DuplicateKey(f"metric key {key!r} is already registered")
-        self._entries[key] = RegistryEntry(fn, frozenset(required_roles))
+        self._entries[key] = (fn, frozenset(required_roles))
 
     def keys(self) -> list[str]:
         return sorted(self._entries)
 
-    def entry(self, key: str) -> RegistryEntry:
-        try:
-            return self._entries[key]
-        except KeyError:
-            raise UnknownMetricKey(f"no metric registered under {key!r}") from None
-
     def missing_roles(self, key: str, ctx: MetricContext) -> list[str]:
         """The roles metric `key` needs that ctx leaves unbound, sorted;
         'subject' is the side ctx evaluates."""
-        roles = self.entry(key).required_roles
+        try:
+            _, roles = self._entries[key]
+        except KeyError:
+            raise UnknownMetricKey(f"no metric registered under {key!r}") from None
         concrete = {ctx.evaluate_on if role == "subject" else role for role in roles}
         return sorted(role for role in concrete if not role_bound(ctx, role))
 
     def reads_joint_count(self, key: str) -> bool:
-        """Whether metric `key` is a built-in, which reads ctx.joint when
-        set; False for an unknown key."""
-        entry = self._entries.get(key)
-        return entry is not None and any(entry.fn is fn for _, fn, _ in _BUILTINS)
+        """Whether metric `key` is a built-in, which reads shares of
+        ctx.joint; False for an unknown key."""
+        fn, _ = self._entries.get(key, (None, None))
+        return any(fn is builtin for _, builtin, _ in _BUILTINS)
 
     def evaluate(self, key: str, ctx: MetricContext) -> MetricOutcome:
         missing = self.missing_roles(key, ctx)
         if missing:
             raise MissingRole(f"metric {key!r} needs unbound role(s): {', '.join(missing)}")
-        outcome = self._entries[key].fn(ctx)
+        outcome = self._entries[key][0](ctx)
         if not math.isfinite(outcome.value):
             raise NotComputable(f"metric {key!r} produced a non-finite value")
         return outcome
@@ -261,7 +253,10 @@ def _crosstab(
     if weight is not None:
         _column(ctx, weight)
     joint = ctx.joint if ctx.joint is not None else count_rows(ctx.table, names, weight)
-    at = [joint.names.index(name) for name in names]
+    try:
+        at = [joint.names.index(name) for name in names]
+    except ValueError:
+        raise NotComputable(f"a count of columns {joint.names} lacks one of {names}") from None
     pick = itemgetter(*at) if len(at) > 1 else lambda key: (key[at[0]],)
     cells: dict[tuple[str, ...], list[float]] = {}
     excluded = 0
@@ -274,6 +269,22 @@ def _crosstab(
             if masses:  # not every row of the cell lacks its weight
                 cells.setdefault(values, []).extend(masses)
     return cells, excluded
+
+
+def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]]:
+    """stratify's strata as shares of ctx.joint: same labels, order and
+    errors (a missing cell and "" share the label ""), and no copied row.
+    ctx.joint must hold `by`."""
+    stratum_encoding(ctx.table, by)  # refuses a column stratify refuses
+    joint = ctx.joint
+    at = joint.names.index(by)
+    buckets: dict[str, dict] = {}
+    for key, cell in joint.cells.items():
+        buckets.setdefault(key[at] or "", {})[key] = cell
+    return [
+        (label, replace(ctx, joint=JointCount(joint.names, buckets[label])))
+        for label in sorted(buckets)
+    ]
 
 
 # --- built-in metrics --------------------------------------------------------

@@ -394,7 +394,7 @@ def document_body(source: bytes, format: str, root: str) -> dict:
     """The object under `root` in a JSON or YAML document."""
     if format == "json":
         try:
-            document = json.loads(source.decode("utf-8"))
+            document = json.loads(source.decode("utf-8-sig"))
         # ValueError covers undecodable bytes, bad JSON and integers past
         # the interpreter's digit limit
         except (ValueError, RecursionError) as exc:

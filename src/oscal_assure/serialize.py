@@ -14,6 +14,7 @@ bytes come from canonical.canonical_json_bytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import replace
 
 from .canonical import (
@@ -315,24 +316,39 @@ def _finite(token: str, what: str) -> float:
     return value
 
 
-def _first_values(props: list[PropertyEntry]) -> dict[str, str]:
-    """First value per prop name (multi-valued props handled separately)."""
-    return {prop.name: prop.value for prop in reversed(props)}
+def _once(pairs: Iterable[tuple[str, str]], what: str) -> dict[str, str]:
+    """pairs as a dict. The writer states each name once, so a repeated one
+    is refused rather than read as its first or its last value."""
+    values: dict[str, str] = {}
+    for name, value in pairs:
+        if name in values:
+            raise MalformedDocument(f"repeated {what} {name!r}")
+        values[name] = value
+    return values
+
+
+def _prop_values(props: list[PropertyEntry], where: str) -> dict[str, str]:
+    """The value of each single-valued prop (every one but group-rate)."""
+    return _once(((p.name, p.value) for p in props if p.name != "group-rate"), f"{where} prop")
 
 
 def _observation_from_dict(payload: dict) -> Observation:
     props = parse_props(payload, "observation")
-    prop_map = _first_values(props)
+    prop_map = _prop_values(props, "observation")
     observed: float | None = None
     if "observed-value" in prop_map:
         observed = _finite(prop_map["observed-value"], "observed-value")
-    per_group: dict[str, float] = {}
+    rates = []
     for prop in props:
         if prop.name == "group-rate":
             label, sep, rate = prop.value.rpartition("=")
             if not sep:
                 raise MalformedDocument(f"bad group-rate entry {prop.value!r}")
-            per_group[label] = _finite(rate, "group-rate")
+            rates.append((label, rate))
+    per_group = {
+        label: _finite(rate, "group-rate")
+        for label, rate in _once(rates, "group-rate label").items()
+    }
     methods = nested(payload, "methods", list) or ["TEST"]
     method = parsed(ObservationMethod, text(methods[0], "method"), "observation method")
     return Observation(
@@ -367,17 +383,17 @@ def _finding_from_dict(payload: dict) -> Finding:
 
 
 def _risk_from_dict(payload: dict) -> Risk:
-    prop_map = _first_values(parse_props(payload, "risk"))
-    facets = tuple(
+    prop_map = _prop_values(parse_props(payload, "risk"), "risk")
+    facets = _once((
         (facet.name, facet.value)
         for characterization in objects(payload, "characterizations")
         for facet in parse_props(characterization, "risk", "facets")
-    )
+    ), "risk facet")
     return Risk(
         uuid=text(payload.get("uuid"), "uuid"),
         title=text(payload.get("title"), "title"),
         status=parsed(RiskStatus, text(payload.get("status"), "status"), "risk status"),
-        facets=facets,
+        facets=tuple(facets.items()),
         linked_finding_uuid=prop_map.get("linked-finding", ""),
         risk_id_ref=prop_map.get("risk-id"),
     )
@@ -403,7 +419,7 @@ def _block_from_dict(payload: dict) -> ResultBlock:
 
 
 def _poam_item_from_dict(payload: dict) -> PoamItem:
-    prop_map = _first_values(parse_props(payload, "poam item"))
+    prop_map = _prop_values(parse_props(payload, "poam item"), "poam item")
     return PoamItem(
         uuid=text(payload.get("uuid"), "uuid"),
         title=text(payload.get("title"), "title"),

@@ -85,6 +85,18 @@ def test_validate_fig2_exits_zero_and_lists_properties(capsys):
         assert name in out
 
 
+def test_validate_reads_a_json_plan_saved_with_a_bom(tmp_path, capsys):
+    plain = tmp_path / "plan.json"
+    plan = plan_module.parse_plan_document(SCENARIO_A_PLAN.read_bytes(), "yaml")
+    plain.write_bytes(cli.serialize_canonical(plan))
+    assert main(["validate", str(plain)]) == 0
+    expected = capsys.readouterr().out.replace(str(plain), "POLICY")
+    prefixed = tmp_path / "bom-plan.json"
+    prefixed.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["validate", str(prefixed)]) == 0
+    assert capsys.readouterr().out.replace(str(prefixed), "POLICY") == expected
+
+
 def test_validate_invalid_mode_exits_three_naming_control(tmp_path, capsys):
     policy = tmp_path / "bad.yaml"
     policy.write_text(INVALID_MODE_PLAN)
@@ -1024,6 +1036,65 @@ def test_report_on_a_group_rate_without_an_equals_sign_exits_one(pre_results_dir
     assert capsys.readouterr().err == "cannot parse results: bad group-rate entry 'female'\n"
 
 
+def _rated_observation(document: dict) -> dict:
+    return next(
+        obs
+        for block in document["assessment-results"]["results"]
+        for obs in block["observations"]
+        if any(prop["name"] == "group-rate" for prop in obs["props"])
+    )
+
+
+def _first_facets(document: dict) -> list:
+    return document["assessment-results"]["results"][0]["risks"][0]["characterizations"][0][
+        "facets"
+    ]
+
+
+#: A second statement of what the writer states once, and the error that names it.
+REPEATED_IN_RESULTS = {
+    "observed-value": (
+        lambda d: _rated_observation(d)["props"].insert(
+            0, {"name": "observed-value", "value": "0.999"}
+        ),
+        "repeated observation prop 'observed-value'",
+    ),
+    "group-rate-label": (
+        lambda d: _rated_observation(d)["props"].append(
+            {"name": "group-rate", "value": "female=0.001"}
+        ),
+        "repeated group-rate label 'female'",
+    ),
+    "risk-facet": (
+        lambda d: _first_facets(d).append(dict(_first_facets(d)[0], value="accuracy")),
+        "repeated risk facet 'metric'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "repeat, message", REPEATED_IN_RESULTS.values(), ids=REPEATED_IN_RESULTS.keys()
+)
+def test_report_on_results_that_state_a_value_twice_exits_one(
+    pre_results_dir, capsys, repeat, message
+):
+    document = json.loads((pre_results_dir / "assessment-results.oscal.json").read_text())
+    repeat(document)
+    broken = pre_results_dir / "broken.json"
+    broken.write_text(json.dumps(document))
+    assert main(["report", str(broken)]) == 1
+    assert capsys.readouterr().err == f"cannot parse results: {message}\n"
+
+
+def test_report_reads_results_saved_with_a_bom(pre_results_dir, capsys):
+    path = pre_results_dir / "assessment-results.oscal.json"
+    assert main(["report", str(path)]) == 0
+    plain = capsys.readouterr()
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["report", str(path)]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_report_prints_a_not_computable_value_as_it_is(tmp_path, capsys, overflowing_weights):
     plan, data = overflowing_weights
     out = tmp_path / "out"
@@ -1136,6 +1207,17 @@ def test_trace_with_an_unusable_labels_file_exits_one(tmp_path, capsys, content,
     code = main(["trace", str(SCENARIO_A_PLAN), "credit-gender-di", "--labels", str(labels)])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def test_trace_reads_a_labels_file_saved_with_a_bom(tmp_path, capsys):
+    register = DEMO_DIR / "risk-register.json"
+    args = ["trace", str(SCENARIO_A_PLAN), "credit-gender-di", "--labels"]
+    assert main([*args, str(register)]) == 0
+    plain = capsys.readouterr()
+    labels = tmp_path / "labels.json"
+    labels.write_bytes(b"\xef\xbb\xbf" + register.read_bytes())
+    assert main([*args, str(labels)]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_trace_prints_no_label_for_a_null_one(tmp_path, capsys):

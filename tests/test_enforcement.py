@@ -30,7 +30,7 @@ from oscal_assure import (
 )
 from oscal_assure import enforcement, metrics
 from oscal_assure.enforcement import EnforcementAction, SkipReason, read_columns
-from oscal_assure.errors import PolicyDataMismatch
+from oscal_assure.errors import NotComputable, PolicyDataMismatch
 from oscal_assure.plan import (
     EnforcementMode,
     EvaluationMethod,
@@ -244,6 +244,73 @@ def test_a_phase_keeps_a_joint_count_that_holds_its_columns(
     enforce_phase(scenario_a_plan, LifecyclePhase.VALIDATION, narrow, registry)
     assert counted[-1] == ("class", "prediction", "gender")
     assert len(counted) == 3
+
+
+def _observed(verdict):
+    return [
+        (repr(obs.observed_value), obs.per_group, obs.stratum, obs.excluded_rows, obs.remarks)
+        for obs in verdict.observations
+    ]
+
+
+@pytest.mark.parametrize("stratify_by", [None, "age_group"])
+def test_evaluate_control_counts_the_columns_its_contexts_count_lacks(
+    scenario_a_ctx, registry, stratify_by
+):
+    narrow = dataclasses.replace(
+        scenario_a_ctx, joint=metrics.count_rows(scenario_a_ctx.table, ["class"])
+    )
+    for key in ("disparate_impact", "accuracy"):
+        spec = make_control("c", key, stratify_by=stratify_by)
+        assert _observed(evaluate_control(spec, narrow, registry)) == _observed(
+            evaluate_control(spec, scenario_a_ctx, registry)
+        )
+
+
+def test_a_builtin_on_a_count_that_lacks_its_columns_is_not_computable(scenario_a_ctx):
+    narrow = dataclasses.replace(
+        scenario_a_ctx, joint=metrics.count_rows(scenario_a_ctx.table, ["class"])
+    )
+    with pytest.raises(NotComputable, match=r"\('class',\) lacks one of \('gender', 'class'\)"):
+        metrics.disparate_impact(narrow)
+
+
+def test_a_stratified_builtin_evaluated_directly_never_stratifies_a_table(
+    scenario_a_ctx, registry, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("a built-in reached stratify")
+
+    monkeypatch.setattr(enforcement, "stratify", refuse)
+    spec = make_control("c", "disparate_impact", stratify_by="age_group")
+    verdict = evaluate_control(spec, scenario_a_ctx, registry)
+    assert [obs.stratum for obs in verdict.observations] == ["mature", "young"]
+    assert all(obs.observed_value is not None for obs in verdict.observations)
+    # without bindings, each stratum fails on the roles it lacks
+    unbound = evaluate_control(spec, MetricContext(table=scenario_a_ctx.table), registry)
+    assert _observed(unbound) == [
+        ("None", None, stratum, 0,
+         "evaluation-error: metric 'disparate_impact' needs unbound role(s): group, target")
+        for stratum in ("mature", "young")
+    ]
+
+
+@pytest.mark.parametrize("fixture", ["scenario_a", "medical"])
+def test_evaluate_control_gives_the_observations_enforce_phase_gives(
+    request, registry, fixture
+):
+    plan = request.getfixturevalue(f"{fixture}_plan")
+    ctx = request.getfixturevalue(f"{fixture}_ctx")
+    compared = 0
+    for phase in LifecyclePhase:
+        selected = select_controls(plan, phase)
+        if not selected:
+            continue
+        report = enforce_phase(plan, phase, ctx, registry)
+        for spec, verdict in zip(selected, report.verdicts):
+            assert _observed(evaluate_control(spec, ctx, registry)) == _observed(verdict)
+            compared += 1
+    assert compared == sum(len(spec.lifecycle_phases) for spec in plan.controls)
 
 
 def test_broken_stratification_fails_closed_without_crashing_the_phase(

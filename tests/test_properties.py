@@ -483,8 +483,7 @@ def _reference_group_reweight(ctx: MetricContext) -> list[float]:
 def _all_outcomes(ctx: MetricContext) -> dict[str, str]:
     """repr of every built-in's outcome (and of group_reweight's weights),
     or the type and message of the error it raised."""
-    registry = metrics.default_registry()
-    functions = {key: registry.entry(key).fn for key in registry.keys()}
+    functions = {key: fn for key, fn, _ in metrics._BUILTINS}
     functions["group_reweight"] = metrics.group_reweight
     outcomes = {}
     for key, fn in functions.items():

@@ -268,6 +268,35 @@ def test_parsers_return_or_raise_package_error_for_any_edit_of_a_real_document(
     parses_or_raises_package_error(root, body)
 
 
+def _entry_lists(node):
+    """Every props or facets list held anywhere in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("props", "facets"):
+                yield value
+            yield from _entry_lists(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _entry_lists(item)
+
+
+@pytest.mark.parametrize("root", sorted(PARSERS))
+def test_parsers_refuse_any_prop_or_facet_entry_stated_twice(demo_documents, root):
+    # the writer states each prop, group-rate label and facet name once
+    body = json.loads(json.dumps(demo_documents[root]))
+    source = lambda: json.dumps({root: body}).encode("utf-8")  # noqa: E731
+    PARSERS[root](source())
+    repeated = 0
+    for entries in _entry_lists(body):
+        for i, entry in enumerate(list(entries)):
+            entries.insert(i + 1, dict(entry))
+            with pytest.raises(MalformedDocument, match="^repeated "):
+                PARSERS[root](source())
+            del entries[i + 1]
+            repeated += 1
+    assert repeated >= 3
+
+
 def _texts(value):
     """Every str held anywhere in a parsed document."""
     if isinstance(value, str):
