@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import json
 import sys
@@ -529,5 +530,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def entry() -> int:
+    """The process entry of `oscal-assure` and `python -m oscal_assure.cli`:
+    main, then gc.freeze(), so the collections of interpreter shutdown skip
+    what the run left alive; the OS frees it. atexit handlers and the flush
+    of stdout and stderr still run, and the CLI closes every file it opens
+    itself, so no cycle left uncollected holds one. main(argv), the
+    in-process API, never freezes: a long-lived process would never collect
+    a frozen heap."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

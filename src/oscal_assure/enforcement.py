@@ -186,7 +186,8 @@ def _with_joint_count(
     overrides and stratify_by columns, plus the weight; with no count when
     specs hold no such control. A column the table lacks is left out, so
     only the control that names it fails on it. A ctx.joint that holds
-    every such column is kept (the CLI's run count)."""
+    every such column and was counted with the same weight is kept (the
+    CLI's run count)."""
     readers = [
         s for s in specs if skip_reason(s) is None and registry.reads_joint_count(s.metric_key)
     ]
@@ -196,11 +197,12 @@ def _with_joint_count(
     roles = [] if b is None else [b.target, b.prediction, b.group]
     names = read_columns(readers, [*roles, ctx.params.get("group")])
     present = [n for n in names if ctx.table.has_column(n)]
-    if ctx.joint is not None and set(present) <= set(ctx.joint.names):
-        return ctx
     weight = None if b is None else b.weight
     if weight is not None and not ctx.table.has_column(weight):
         weight = None
+    joint = ctx.joint
+    if joint is not None and set(present) <= set(joint.names) and joint.weight == weight:
+        return ctx
     return dataclasses.replace(ctx, joint=count_rows(ctx.table, present, weight))
 
 

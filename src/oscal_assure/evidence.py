@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import os
-import platform
 import re
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
@@ -259,6 +258,10 @@ def make_fingerprint(
 
 def capture_environment(session: RunSession) -> EnvFingerprint:
     """Fingerprint the host; unavailable fields are recorded as 'unknown'."""
+    # imported where the host is fingerprinted: enforce loads this module but
+    # fingerprints no host
+    import platform
+
     session._check_open()
     fingerprint = make_fingerprint(
         os_name=platform.system() or "unknown",

@@ -118,6 +118,8 @@ class JointCount:
 
     names: tuple[str, ...]
     cells: dict[tuple[str | None, ...], list]
+    #: The weight column the rows were counted with, or None.
+    weight: str | None = None
 
 
 #: Rows whose keys are built at a time, so that the keys in memory take at
@@ -196,7 +198,7 @@ def count_rows(
         if labels in cells:
             cell = [a + b for a, b in zip(cells[labels], cell)]
         cells[labels] = cell
-    return JointCount(tuple(names), cells)
+    return JointCount(tuple(names), cells, weight)
 
 
 def _bindings(ctx: MetricContext) -> RoleBindings:
@@ -282,7 +284,7 @@ def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]
     for key, cell in joint.cells.items():
         buckets.setdefault(key[at] or "", {})[key] = cell
     return [
-        (label, replace(ctx, joint=JointCount(joint.names, buckets[label])))
+        (label, replace(ctx, joint=replace(joint, cells=buckets[label])))
         for label in sorted(buckets)
     ]
 

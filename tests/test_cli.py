@@ -7,6 +7,8 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -14,7 +16,7 @@ from unittest import mock
 import pytest
 import yaml
 
-from conftest import DEMO_DIR, FIG2_PLAN, SCENARIO_A_DATA, SCENARIO_A_PLAN
+from conftest import DEMO_DIR, FIG2_PLAN, REPO_ROOT, SCENARIO_A_DATA, SCENARIO_A_PLAN
 from oscal_assure import cli, enforcement, evidence, metrics
 from oscal_assure import plan as plan_module
 from oscal_assure.cli import main
@@ -1297,3 +1299,55 @@ def test_a_process_that_configured_logging_gets_the_records(tmp_path, caplog, ca
     ]
     assert capsys.readouterr().err == ""
     assert logging.getLogger("oscal_assure").level == logging.NOTSET
+
+
+# --- the process entry ----------------------------------------------------------
+
+
+def python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["validate", str(SCENARIO_A_PLAN)], 0),
+        (["report", "missing/assessment-results.oscal.json"], 1),
+        (run_args(Path("vault"), "--deterministic"), 2),
+        (["validate", "bad-operator.yaml"], 3),
+    ],
+    ids=["validate", "missing-report", "blocked-run", "bad-operator"],
+)
+def test_the_process_entry_gives_what_main_gives(tmp_path, monkeypatch, argv, exit_code):
+    process, in_process = tmp_path / "process", tmp_path / "in-process"
+    for work in (process, in_process):
+        work.mkdir()
+        (work / "bad-operator.yaml").write_text(ONE_CONTROL_PLAN.format(operator="=>", param="a=1"))
+    done = python("-m", "oscal_assure.cli", *argv, cwd=process)
+    monkeypatch.chdir(in_process)
+    out, err = io.StringIO(), io.StringIO()
+    with logging_unconfigured(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), err.getvalue())
+    assert code == exit_code
+    if argv[0] == "run":
+        for name in ("assessment-results.oscal.json", "poam.oscal.json", "hashes.json", "bom.json"):
+            run_file = Path("vault", "runs", "credit-scoring", name)
+            assert (process / run_file).read_bytes() == (in_process / run_file).read_bytes()
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(run_args(tmp_path / "vault", "--mode-override", "monitor")) == 0
+    assert gc.get_freeze_count() == before
+    done = python("-c", (
+        "import gc, sys\n"
+        "from oscal_assure import cli\n"
+        f"sys.argv = ['oscal-assure', 'validate', {str(SCENARIO_A_PLAN)!r}]\n"
+        "print(cli.entry(), gc.get_freeze_count() > 0)"
+    ))
+    assert done.stdout.splitlines()[-1] == "0 True"
+    # the console script is the same entry
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+    assert 'oscal-assure = "oscal_assure.cli:entry"' in pyproject.splitlines()

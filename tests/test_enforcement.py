@@ -246,6 +246,20 @@ def test_a_phase_keeps_a_joint_count_that_holds_its_columns(
     assert len(counted) == 3
 
 
+@pytest.mark.parametrize("stratify_by", [None, "g"])
+def test_a_count_without_the_bound_weight_is_counted_again(registry, stratify_by):
+    table = table_from_rows(["y", "g", "w"], [["1", "a", "5"], ["0", "a", "1"],
+                                              ["1", "b", "1"], ["0", "b", "1"]])
+    bindings = bind_roles(table, "y", "1", group="g", weight="w")
+    plain = MetricContext(table=table, bindings=bindings)
+    unweighted = dataclasses.replace(plain, joint=metrics.count_rows(table, ["y", "g"]))
+    spec = make_control("c", "group_positive_rates", stratify_by=stratify_by)
+    kept = evaluate_control(spec, unweighted, registry)
+    assert _observed(kept) == _observed(evaluate_control(spec, plain, registry))
+    if stratify_by is None:
+        assert kept.observations[0].per_group == {"a": pytest.approx(5 / 6), "b": 0.5}
+
+
 def _observed(verdict):
     return [
         (repr(obs.observed_value), obs.per_group, obs.stratum, obs.excluded_rows, obs.remarks)

@@ -91,6 +91,22 @@ def test_help_loads_no_evaluation_layer():
     assert loaded == []
 
 
+def test_only_fingerprinting_the_host_loads_platform(tmp_path):
+    # uuid imports platform itself on some systems (Linux, CPython 3.11); enforce
+    # makes uuids, so there it is loaded through uuid whatever evidence does
+    through_uuid = _loaded_after("import uuid", ("platform",))
+    assert _loaded_after("import oscal_assure.evidence", ("platform",)) == []
+    argv = ["enforce", str(SCENARIO_A_PLAN), str(SCENARIO_A_DATA), "--target", "class:good",
+            "--group", "gender", "--out", str(tmp_path)]
+    loaded = _loaded_after(
+        "from oscal_assure import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 2",
+        ("platform",),
+    )
+    assert loaded == through_uuid
+
+
 def test_importing_the_package_loads_none_of_its_modules():
     loaded = _fresh(
         "import json, sys\n"

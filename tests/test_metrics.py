@@ -392,3 +392,12 @@ def test_table_operations_spell_each_dictionary_entry_at_most_once(monkeypatch, 
     else:
         group_reweight(ctx)
     assert 0 < len(spelled) <= entries
+
+
+@pytest.mark.parametrize("weight", [None, "w"])
+def test_a_count_and_each_of_its_strata_record_its_weight(weight):
+    ctx = ctx_of(["g", "y", "w"], [["a", "1", "2"], ["b", "0", "1"]], group="g", weight="w")
+    joint = count_rows(ctx.table, ["g", "y"], weight)
+    assert joint.weight == weight
+    strata = metrics._joint_strata(MetricContext(ctx.table, ctx.bindings, joint=joint), "g")
+    assert [(label, s.joint.weight) for label, s in strata] == [("a", weight), ("b", weight)]
