@@ -1,5 +1,5 @@
-"""Canonical JSON encoding, the text of a scalar, timestamp formatting, and
-name-based uuids.
+"""Canonical JSON encoding, the text of a scalar, timestamp formatting,
+name-based uuids, and the one empty mapping that records default to.
 
 Canonical form: UTF-8, LF line endings, 2-space indentation, keys in the
 order the document builders insert them, floats in shortest-repr form,
@@ -12,9 +12,14 @@ import functools
 import math
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
+from types import MappingProxyType
 
 #: The one instant `serialize.determinize` stamps on every timestamp.
 DETERMINISTIC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+#: The default of every mapping field of a record: read-only, so the one
+#: object every record shares cannot be changed through any of them.
+NO_ENTRIES = MappingProxyType({})
 
 
 def canonical_json_bytes(payload: dict | list) -> bytes:
@@ -62,7 +67,7 @@ def _encode(value, parts: list[str], newline: str) -> None:
         parts.append(int.__repr__(value))
     elif isinstance(value, float):
         parts.append(_float(value))
-    elif isinstance(value, (list, tuple)):
+    elif value.__class__ in (list, tuple):  # a record (a named tuple) is refused
         if not value:
             parts.append("[]")
             return

@@ -8,12 +8,11 @@ findings with an evaluation-error remark and still raise a Risk.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import operator
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .canonical import random_uuid, utc_now
 from .errors import BlockingControlFailure, NotComputable, OscalAssureError, PolicyDataMismatch
@@ -63,8 +62,7 @@ class EnforcementAction(str, Enum):
     BLOCKED = "blocked"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One control's outcome in one phase, with the records that back it and the action taken."""
 
     control_id: str
@@ -83,8 +81,7 @@ class Verdict:
         return None
 
 
-@dataclass(frozen=True)
-class PhaseReport:
+class PhaseReport(NamedTuple):
     """The verdicts of one lifecycle phase and the documents built from them."""
 
     phase: LifecyclePhase
@@ -139,8 +136,7 @@ def select_controls(plan: AssessmentPlan, phase: LifecyclePhase) -> list[Control
 def control_context(spec: ControlSpec, ctx: MetricContext) -> MetricContext:
     """Specialize a context for one control: merge metric params and pick
     the evaluation side from target_type."""
-    return dataclasses.replace(
-        ctx,
+    return ctx._replace(
         params={**ctx.params, **spec.metric_params},
         evaluate_on="prediction" if spec.target_type is TargetType.MODEL else "target",
     )
@@ -192,7 +188,7 @@ def _with_joint_count(
         s for s in specs if skip_reason(s) is None and registry.reads_joint_count(s.metric_key)
     ]
     if not readers:
-        return dataclasses.replace(ctx, joint=None)
+        return ctx._replace(joint=None)
     b = ctx.bindings
     roles = [] if b is None else [b.target, b.prediction, b.group]
     names = read_columns(readers, [*roles, ctx.params.get("group")])
@@ -203,7 +199,7 @@ def _with_joint_count(
     joint = ctx.joint
     if joint is not None and set(present) <= set(joint.names) and joint.weight == weight:
         return ctx
-    return dataclasses.replace(ctx, joint=count_rows(ctx.table, present, weight))
+    return ctx._replace(joint=count_rows(ctx.table, present, weight))
 
 
 def _observation(
@@ -271,7 +267,7 @@ def _evaluate_strata(
                 strata = _joint_strata(ctx, spec.stratify_by)
             else:
                 strata = [
-                    (label, dataclasses.replace(ctx, table=table))
+                    (label, ctx._replace(table=table))
                     for label, table in stratify(ctx.table, spec.stratify_by)
                 ]
             if not strata:
@@ -477,17 +473,13 @@ def combine_reports(
         block for report in reports for block in report.assessment_results.results
     )
     first = reports[0].assessment_results
-    merged = dataclasses.replace(
-        first, uuid=random_uuid(), last_modified=utc_now(), results=blocks
-    )
+    merged = first._replace(uuid=random_uuid(), last_modified=utc_now(), results=blocks)
     items = tuple(
         item for report in reports if report.poam is not None for item in report.poam.poam_items
     )
     if not items:
         return merged, None
     first_poam = next(report.poam for report in reports if report.poam is not None)
-    poam = dataclasses.replace(
-        first_poam, uuid=random_uuid(), last_modified=utc_now(), poam_items=items
-    )
+    poam = first_poam._replace(uuid=random_uuid(), last_modified=utc_now(), poam_items=items)
     return merged, poam
 

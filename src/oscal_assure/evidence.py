@@ -17,11 +17,11 @@ import itertools
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .canonical import canonical_json_bytes, format_timestamp, random_uuid, utc_now
 from .enforcement import PhaseReport, combine_reports
@@ -48,8 +48,7 @@ class ArtifactRole(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ArtifactRecord:
+class ArtifactRecord(NamedTuple):
     """One file hashed into the vault: its name, path, SHA-256, size and role."""
 
     logical_name: str
@@ -59,8 +58,7 @@ class ArtifactRecord:
     role: ArtifactRole
 
 
-@dataclass(frozen=True)
-class EnvFingerprint:
+class EnvFingerprint(NamedTuple):
     """The platform and runtime a run executed on, and the digest of them."""
 
     os_name: str
@@ -71,16 +69,14 @@ class EnvFingerprint:
     fingerprint_digest: str
 
 
-@dataclass(frozen=True)
-class BomComponent:
+class BomComponent(NamedTuple):
     """One pinned dependency of a dependency manifest."""
 
     name: str
     version: str
 
 
-@dataclass(frozen=True)
-class DependencyBom:
+class DependencyBom(NamedTuple):
     """The components of an ingested dependency manifest, in manifest order."""
 
     components: tuple[BomComponent, ...]
@@ -106,8 +102,7 @@ class RunSession:
             raise SessionClosed(f"session {self.run_id!r} is already finalized")
 
 
-@dataclass(frozen=True)
-class EvidenceBundle:
+class EvidenceBundle(NamedTuple):
     """A finalized session: whether any phase ran, and the vault files written."""
 
     session: RunSession
@@ -384,9 +379,9 @@ def _vault_files(session: RunSession, phase_reports: list[PhaseReport], handshak
     if results is not None:
         yield from document_files(results, poam, deterministic)
     if session.artifacts:
-        yield "hashes.json", canonical_json_bytes([asdict(r) for r in session.artifacts])
+        yield "hashes.json", canonical_json_bytes([r._asdict() for r in session.artifacts])
     if session.environment is not None:
-        yield "environment.json", canonical_json_bytes(asdict(session.environment))
+        yield "environment.json", canonical_json_bytes(session.environment._asdict())
     if session.bom is not None:
         yield "bom.json", canonical_json_bytes(bom_to_dict(session.bom))
     yield "handshake.json", canonical_json_bytes({

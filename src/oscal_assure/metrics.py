@@ -12,26 +12,26 @@ import math
 import struct
 import sys
 from collections import Counter
-from collections.abc import Hashable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from .canonical import NO_ENTRIES
 from .errors import DuplicateKey, MissingRole, NotComputable, UnknownMetricKey
 from .tabular import (
     DataTable, Encoded, RoleBindings, code_format, dictionary_tokens, stratum_encoding,
 )
 
 
-@dataclass(frozen=True)
-class MetricContext:
+class MetricContext(NamedTuple):
     """Everything a metric needs: the table, role bindings, per-control
     params, and which side (target vs prediction) the control evaluates."""
 
     table: DataTable
     bindings: RoleBindings | None = None
-    params: dict[str, str] = field(default_factory=dict)
+    params: Mapping[str, str] = NO_ENTRIES
     evaluate_on: str = "target"
     #: Set by enforce_phase, evaluate_control or the CLI: the rows counted
     #: once (a stratum's share of them for a stratified control). Built-ins
@@ -41,7 +41,9 @@ class MetricContext:
 
 @dataclass(frozen=True)
 class MetricOutcome:
-    """A metric's value, its per-group rates if it has them, and the rows it excluded."""
+    """A metric's value, its per-group rates if it has them, and the rows it
+    excluded. A dataclass, unlike the other records: bench/test_bench.py's
+    planted fault rewrites one with dataclasses.replace."""
 
     value: float
     per_group: dict[str, float] | None = None
@@ -106,8 +108,7 @@ def role_bound(ctx: MetricContext, role: str) -> bool:
 # --- column access and the joint count ----------------------------------------
 
 
-@dataclass(frozen=True)
-class JointCount:
+class JointCount(NamedTuple):
     """A table's rows counted once by their cells in `names`.
 
     Keys hold each cell's cell_token, or None where the cell is missing.
@@ -284,7 +285,7 @@ def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]
     for key, cell in joint.cells.items():
         buckets.setdefault(key[at] or "", {})[key] = cell
     return [
-        (label, replace(ctx, joint=replace(joint, cells=buckets[label])))
+        (label, ctx._replace(joint=joint._replace(cells=buckets[label])))
         for label in sorted(buckets)
     ]
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from datetime import datetime
 from enum import Enum
 from typing import NamedTuple
 
-from .canonical import DETERMINISTIC_EPOCH, cell_token, name_uuid, parse_timestamp
+from .canonical import DETERMINISTIC_EPOCH, NO_ENTRIES, cell_token, name_uuid, parse_timestamp
 from .errors import (
     DuplicateControlId,
     InvalidEnumValue,
@@ -132,17 +132,14 @@ _TEXT_PROPS = (
 
 
 class PropertyEntry(NamedTuple):
-    """One OSCAL prop. A named tuple rather than a frozen dataclass: every
-    document reader builds one per prop, and a tuple is several times
-    cheaper to build."""
+    """One OSCAL prop."""
 
     name: str
     value: str
     ns: str | None = None
 
 
-@dataclass(frozen=True)
-class ControlSpec:
+class ControlSpec(NamedTuple):
     """One implemented-requirement with its typed AI-assurance properties."""
 
     control_id: str
@@ -164,15 +161,14 @@ class ControlSpec:
     threshold_justification: str | None = None
     stakeholder_consultation_ref: str | None = None
     stratify_by: str | None = None
-    metric_params: dict[str, str] = field(default_factory=dict)
+    metric_params: Mapping[str, str] = NO_ENTRIES
     extra_props: tuple[PropertyEntry, ...] = ()
 
     def phases_in_order(self) -> list[LifecyclePhase]:
         return [p for p in LifecyclePhase if p in self.lifecycle_phases]
 
 
-@dataclass(frozen=True)
-class AssessmentPlan:
+class AssessmentPlan(NamedTuple):
     """A parsed OSCAL assessment plan: its metadata and its controls, in document order."""
 
     uuid: str
@@ -474,14 +470,13 @@ def control_properties(spec: ControlSpec) -> list[PropertyEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class TraceChain:
+class TraceChain(NamedTuple):
     """Upward (kind, id) links from a control, in treatment -> risk ->
     objective -> policy order; absent links are omitted, never fabricated."""
 
     control_id: str
     links: tuple[tuple[str, str], ...] = ()
-    resolved_labels: dict[str, str] = field(default_factory=dict)
+    resolved_labels: Mapping[str, str] = NO_ENTRIES
 
 
 def trace_chain(

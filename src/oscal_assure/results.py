@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Collection, Iterator
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from typing import NamedTuple
 
 
 class ObservationMethod(str, Enum):
@@ -26,8 +26,7 @@ class RiskStatus(str, Enum):
     CLOSED = "closed"
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """An OSCAL observation: one measured metric value, overall or for one stratum."""
 
     uuid: str
@@ -43,8 +42,7 @@ class Observation:
     remarks: str | None = None
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """An OSCAL finding: a control's status and the observations behind it."""
 
     uuid: str
@@ -55,8 +53,7 @@ class Finding:
     remarks: str | None = None
 
 
-@dataclass(frozen=True)
-class Risk:
+class Risk(NamedTuple):
     """An OSCAL risk opened by a failed finding, with the facets that describe the failure."""
 
     uuid: str
@@ -73,8 +70,7 @@ class Risk:
         return None
 
 
-@dataclass(frozen=True)
-class ResultBlock:
+class ResultBlock(NamedTuple):
     """One OSCAL `result`: the observations, findings and risks of one phase's assessment."""
 
     uuid: str
@@ -87,8 +83,7 @@ class ResultBlock:
     reviewed_control_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AssessmentResults:
+class AssessmentResults(NamedTuple):
     """An OSCAL assessment-results document."""
 
     uuid: str
@@ -104,8 +99,7 @@ class AssessmentResults:
         return [finding for block in self.results for finding in block.findings]
 
 
-@dataclass(frozen=True)
-class PoamItem:
+class PoamItem(NamedTuple):
     """One POA&M item: the remediation of one risk."""
 
     uuid: str
@@ -116,8 +110,7 @@ class PoamItem:
     treatment_id_ref: str | None = None
 
 
-@dataclass(frozen=True)
-class PoamDocument:
+class PoamDocument(NamedTuple):
     """An OSCAL plan of action and milestones (POA&M) document."""
 
     uuid: str
@@ -127,8 +120,7 @@ class PoamDocument:
     poam_items: tuple[PoamItem, ...]
 
 
-@dataclass(frozen=True)
-class StructuralViolation:
+class StructuralViolation(NamedTuple):
     """One broken structural rule of a document, with the path where it breaks."""
 
     path: str

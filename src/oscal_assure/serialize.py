@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import replace
 
 from .canonical import (
     DETERMINISTIC_EPOCH,
@@ -232,7 +231,7 @@ def determinize(
         """record with the uuid of its content path and `changes`; the old
         uuid maps to the new one."""
         new = mapping[record.uuid] = name_uuid(path)
-        return replace(record, uuid=new, **changes)
+        return record._replace(uuid=new, **changes)
 
     def ref(old: str) -> str:
         return mapping.get(old, old)

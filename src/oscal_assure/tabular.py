@@ -16,7 +16,7 @@ from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, count, repeat
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .canonical import cell_token
 from .errors import (
@@ -196,8 +196,7 @@ class DataTable:
 EMPTY_TABLE = DataTable(column_names=(), column_types=(), columns=(), row_count=0)
 
 
-@dataclass(frozen=True)
-class RoleBindings:
+class RoleBindings(NamedTuple):
     """Semantic roles over a table's columns.
 
     target/prediction are binary columns with an explicitly designated

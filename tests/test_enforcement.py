@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 from datetime import timedelta
 
@@ -240,7 +239,7 @@ def test_a_phase_keeps_a_joint_count_that_holds_its_columns(
         ("class", "prediction", "gender", "age_group"), ("class", "prediction", "gender")
     ]
     # a count that lacks a column the phase reads is not kept
-    narrow = dataclasses.replace(shared, joint=metrics.JointCount(("class",), {}))
+    narrow = shared._replace(joint=metrics.JointCount(("class",), {}))
     enforce_phase(scenario_a_plan, LifecyclePhase.VALIDATION, narrow, registry)
     assert counted[-1] == ("class", "prediction", "gender")
     assert len(counted) == 3
@@ -252,12 +251,30 @@ def test_a_count_without_the_bound_weight_is_counted_again(registry, stratify_by
                                               ["1", "b", "1"], ["0", "b", "1"]])
     bindings = bind_roles(table, "y", "1", group="g", weight="w")
     plain = MetricContext(table=table, bindings=bindings)
-    unweighted = dataclasses.replace(plain, joint=metrics.count_rows(table, ["y", "g"]))
+    unweighted = plain._replace(joint=metrics.count_rows(table, ["y", "g"]))
     spec = make_control("c", "group_positive_rates", stratify_by=stratify_by)
     kept = evaluate_control(spec, unweighted, registry)
     assert _observed(kept) == _observed(evaluate_control(spec, plain, registry))
     if stratify_by is None:
         assert kept.observations[0].per_group == {"a": pytest.approx(5 / 6), "b": 0.5}
+
+
+def test_a_bound_weight_the_table_lacks_fails_each_control_closed(
+    scenario_a_plan, scenario_a_ctx, registry
+):
+    # the phase's count leaves the weight out, so the phase completes and
+    # each control fails on the weight as it reads it
+    bindings = scenario_a_ctx.bindings._replace(weight="no_such_weight")
+    report = enforce_phase(
+        scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx._replace(bindings=bindings),
+        registry,
+    )
+    assert len(report.verdicts) == 3
+    for verdict in report.verdicts:
+        assert verdict.finding.status is FindingStatus.NOT_SATISFIED
+        assert [obs.remarks for obs in verdict.observations] == [
+            "evaluation-error: column 'no_such_weight' not in table"
+        ]
 
 
 def _observed(verdict):
@@ -271,8 +288,8 @@ def _observed(verdict):
 def test_evaluate_control_counts_the_columns_its_contexts_count_lacks(
     scenario_a_ctx, registry, stratify_by
 ):
-    narrow = dataclasses.replace(
-        scenario_a_ctx, joint=metrics.count_rows(scenario_a_ctx.table, ["class"])
+    narrow = scenario_a_ctx._replace(
+        joint=metrics.count_rows(scenario_a_ctx.table, ["class"])
     )
     for key in ("disparate_impact", "accuracy"):
         spec = make_control("c", key, stratify_by=stratify_by)
@@ -282,8 +299,8 @@ def test_evaluate_control_counts_the_columns_its_contexts_count_lacks(
 
 
 def test_a_builtin_on_a_count_that_lacks_its_columns_is_not_computable(scenario_a_ctx):
-    narrow = dataclasses.replace(
-        scenario_a_ctx, joint=metrics.count_rows(scenario_a_ctx.table, ["class"])
+    narrow = scenario_a_ctx._replace(
+        joint=metrics.count_rows(scenario_a_ctx.table, ["class"])
     )
     with pytest.raises(NotComputable, match=r"\('class',\) lacks one of \('gender', 'class'\)"):
         metrics.disparate_impact(narrow)
@@ -532,9 +549,9 @@ def test_poam_item_has_no_treatment_when_its_finding_or_control_is_missing(
     plan = scenario_a_plan
     if missing == "finding":
         (block,) = results.results
-        results = dataclasses.replace(results, results=(dataclasses.replace(block, findings=()),))
+        results = results._replace(results=(block._replace(findings=()),))
     else:
-        plan = dataclasses.replace(plan, controls=())
+        plan = plan._replace(controls=())
     (item,) = generate_poam(results, plan).poam_items
     assert item.treatment_id_ref is None
 
@@ -605,8 +622,8 @@ def test_validator_flags_duplicate_poam_items_for_one_risk(
         scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry
     )
     poam = report.poam
-    duplicate = dataclasses.replace(poam.poam_items[0], uuid="22222222-0000-0000-0000-000000000000")
-    bad_poam = dataclasses.replace(poam, poam_items=poam.poam_items + (duplicate,))
+    duplicate = poam.poam_items[0]._replace(uuid="22222222-0000-0000-0000-000000000000")
+    bad_poam = poam._replace(poam_items=poam.poam_items + (duplicate,))
     violations = validate_document_structure(bad_poam)
     assert [v.rule for v in violations] == ["poam-cardinality"]
 
@@ -617,7 +634,7 @@ def test_validator_flags_open_risk_without_poam_item(
     report = enforce_phase(
         scenario_a_plan, LifecyclePhase.TRAINING, scenario_a_ctx, registry
     )
-    empty_poam = dataclasses.replace(report.poam, poam_items=())
+    empty_poam = report.poam._replace(poam_items=())
     violations = validate_document_structure(
         empty_poam, results=report.assessment_results
     )
@@ -627,11 +644,11 @@ def test_validator_flags_open_risk_without_poam_item(
 def _edit_block(results, **changes):
     """The results with their one result block changed."""
     (block,) = results.results
-    return dataclasses.replace(results, results=(dataclasses.replace(block, **changes),))
+    return results._replace(results=(block._replace(**changes),))
 
 
 def _edit_first(items, **changes):
-    return (dataclasses.replace(items[0], **changes),) + items[1:]
+    return (items[0]._replace(**changes),) + items[1:]
 
 
 def _with_risk_linked_to(results, status, state):
@@ -639,10 +656,10 @@ def _with_risk_linked_to(results, status, state):
     (block,) = results.results
     (risk,) = block.risks
     findings = tuple(
-        dataclasses.replace(f, status=state) if f.uuid == risk.linked_finding_uuid else f
+        f._replace(status=state) if f.uuid == risk.linked_finding_uuid else f
         for f in block.findings
     )
-    risks = (dataclasses.replace(risk, status=status),)
+    risks = (risk._replace(status=status),)
     return _edit_block(results, findings=findings, risks=risks)
 
 
@@ -680,8 +697,8 @@ BROKEN_DOCUMENTS = {
         [],
     ),
     "poam-item-without-risk": (
-        lambda r, p: dataclasses.replace(
-            p, poam_items=_edit_first(p.poam_items, related_risk_uuid="")),
+        lambda r, p: p._replace(
+            poam_items=_edit_first(p.poam_items, related_risk_uuid="")),
         [("reference-missing", "poam-items[0]")],
     ),
 }
@@ -703,10 +720,10 @@ def _training_results_with_risks(plan, ctx, registry, *edits):
     (block,) = results.results
     (risk,) = block.risks
     risks = tuple(
-        dataclasses.replace(risk, uuid=f"{risk.uuid[:-1]}{n}", **edit)
+        risk._replace(uuid=f"{risk.uuid[:-1]}{n}", **edit)
         for n, edit in enumerate(edits)
     )
-    return dataclasses.replace(results, results=(dataclasses.replace(block, risks=risks),))
+    return results._replace(results=(block._replace(risks=risks),))
 
 
 def test_poam_has_one_item_for_one_open_and_one_closed_risk(

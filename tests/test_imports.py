@@ -1,6 +1,7 @@
 """Each command loads only the layers it runs, and the package loads its
-public names on first use. Every check runs in a fresh interpreter, since
-this one has imported every module already."""
+public names on first use. Every such check runs in a fresh interpreter,
+since this one has imported every module already. The records that make
+dataclasses unneeded share one read-only default mapping, checked here."""
 
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import sys
 import pytest
 
 from conftest import DEMO_DIR, REPO_ROOT, SCENARIO_A_DATA, SCENARIO_A_PLAN
+from oscal_assure import ControlSpec, MetricContext, Operator, TraceChain
 from oscal_assure.cli import main
+from oscal_assure.tabular import EMPTY_TABLE
 
 #: Modules that neither report nor --help needs: the data, evaluation and
 #: vault layers, PyYAML, logging, and those that only making a uuid needs.
@@ -89,6 +92,39 @@ def test_help_loads_no_evaluation_layer():
         "    cli.main(['--help'])"
     )
     assert loaded == []
+
+
+@pytest.mark.parametrize("command", ["report", "validate", "trace", "--help"])
+def test_the_document_commands_generate_no_record_methods(results, command):
+    # records are named tuples, so no command that only reads documents
+    # loads dataclasses, nor the inspect module that dataclasses imports
+    argv = {
+        "report": ["report", results],
+        "validate": ["validate", str(DEMO_DIR / "credit-scoring.oscal.yaml")],
+        "trace": ["trace", str(DEMO_DIR / "credit-scoring.oscal.yaml"), "credit-gender-di"],
+        "--help": ["--help"],
+    }[command]
+    loaded = _loaded_after(
+        "from oscal_assure import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        f"    assert cli.main({argv!r}) == 0",
+        ("dataclasses", "inspect"),
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("default", [
+    lambda: ControlSpec("c", "", "accuracy", Operator.GE, 0.5).metric_params,
+    lambda: MetricContext(EMPTY_TABLE).params,
+    lambda: TraceChain("c").resolved_labels,
+], ids=["ControlSpec.metric_params", "MetricContext.params", "TraceChain.resolved_labels"])
+def test_a_records_default_mapping_is_empty_and_read_only(default):
+    # one default object is shared by every record built without the field
+    mapping = default()
+    assert mapping == {}
+    with pytest.raises(TypeError):
+        mapping["key"] = "value"
+    assert default() == {}
 
 
 def test_only_fingerprinting_the_host_loads_platform(tmp_path):

@@ -282,6 +282,22 @@ def test_registry_reports_missing_prediction_role():
         default_registry().evaluate("accuracy", ctx)
 
 
+def test_a_metric_that_reads_the_weight_needs_it_bound():
+    def total_weight(ctx):
+        return MetricOutcome(value=math.fsum(ctx.table.column(ctx.bindings.weight)))
+
+    registry = default_registry()
+    registry.register("total_weight", total_weight, {"weight"})
+    rows = [["1", "2.5"], ["0", "1.0"]]
+    unweighted = ctx_of(["y", "w"], rows)
+    assert registry.missing_roles("total_weight", unweighted) == ["weight"]
+    with pytest.raises(MissingRole, match="weight"):
+        registry.evaluate("total_weight", unweighted)
+    weighted = ctx_of(["y", "w"], rows, weight="w")
+    assert registry.missing_roles("total_weight", weighted) == []
+    assert registry.evaluate("total_weight", weighted).value == 3.5
+
+
 def test_registry_di_with_group_populates_per_group():
     ctx = binary_ctx(["A", "B"], ["1", "1"])
     outcome = default_registry().evaluate("disparate_impact", ctx)

@@ -649,7 +649,7 @@ def _reference_strata(spec: ControlSpec, ctx: MetricContext, registry) -> list:
     strata = []
     for label, table in tables:
         try:
-            result = registry.evaluate(spec.metric_key, dataclasses.replace(base, table=table))
+            result = registry.evaluate(spec.metric_key, base._replace(table=table))
         except OscalAssureError as exc:
             result = exc
         strata.append((label, result))
@@ -792,15 +792,15 @@ def test_enforce_phase_matches_the_per_row_oracle(ctx, drafts, data):
         seen = [r.value for _, r in draft_strata if not isinstance(r, OscalAssureError)]
         near = [math.nextafter(v, d) for v in seen for d in (-math.inf, math.inf)]
         threshold = data.draw(st.sampled_from([*seen, *near, 0.0, 0.5, 1.0]) | finite_floats)
-        specs.append(dataclasses.replace(draft, control_id=f"c{i}", threshold=threshold))
+        specs.append(draft._replace(control_id=f"c{i}", threshold=threshold))
     plan = make_plan(specs)
     mode_override = data.draw(st.sampled_from([None, None, *EnforcementMode]))
 
     order = data.draw(st.permutations(range(ctx.table.row_count)))
     unread = tuple(None if i % 2 else "z" for i in range(ctx.table.row_count))
     variants = [
-        dataclasses.replace(ctx, table=_permuted(ctx.table, order)),
-        dataclasses.replace(ctx, table=_with_columns(ctx.table, ["unread"], [unread])),
+        ctx._replace(table=_permuted(ctx.table, order)),
+        ctx._replace(table=_with_columns(ctx.table, ["unread"], [unread])),
     ]
     registry = _oracle_registry()
     for phase in ORACLE_PHASES:
@@ -873,7 +873,7 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 
 #: oracle_controls with built-in metric keys only, as a plan file can name
 builtin_controls = st.builds(
-    dataclasses.replace, oracle_controls, metric_key=st.sampled_from(REGISTRY_METRICS)
+    ControlSpec._replace, oracle_controls, metric_key=st.sampled_from(REGISTRY_METRICS)
 )
 
 
@@ -907,7 +907,7 @@ def test_cli_matches_the_per_row_oracle(ctx, drafts, group, prediction, data):
     for i, (draft, draft_strata) in enumerate(zip(drafts, strata)):
         seen = [r.value for _, r in draft_strata if not isinstance(r, OscalAssureError)]
         threshold = data.draw(st.sampled_from([*seen, 0.0, 0.5, 1.0]) | finite_floats)
-        specs.append(dataclasses.replace(draft, control_id=f"c{i}", threshold=threshold))
+        specs.append(draft._replace(control_id=f"c{i}", threshold=threshold))
     plan = make_plan(specs)
     mode_override = data.draw(st.sampled_from([None, None, *EnforcementMode]))
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -27,7 +26,8 @@ from oscal_assure import (
 )
 from oscal_assure.canonical import canonical_json_bytes, format_timestamp, parse_timestamp
 from oscal_assure.errors import MalformedDocument, OscalAssureError, SerializationFailure
-from oscal_assure.plan import LifecyclePhase, PropertyEntry, timestamp
+from oscal_assure.plan import LifecyclePhase, PropertyEntry, TraceChain, timestamp
+from oscal_assure.results import StructuralViolation
 
 
 @pytest.fixture
@@ -165,7 +165,7 @@ assessment-plan:
 
 def test_a_plan_with_duplicate_control_ids_fails_to_serialize(scenario_a_plan):
     spec = scenario_a_plan.controls[0]
-    plan = dataclasses.replace(scenario_a_plan, controls=(spec, spec))
+    plan = scenario_a_plan._replace(controls=(spec, spec))
     with pytest.raises(SerializationFailure, match="^plan has duplicate control ids$"):
         serialize_canonical(plan)
 
@@ -181,11 +181,11 @@ def test_canonical_output_is_utf8_lf_two_space_indented(pre_report):
 def test_invalid_document_raises_serialization_failure(pre_report):
     results = pre_report.assessment_results
     block = results.results[0]
-    bad_finding = dataclasses.replace(
-        block.findings[0], related_observation_uuids=("dangling",)
+    bad_finding = block.findings[0]._replace(
+        related_observation_uuids=("dangling",)
     )
-    bad_block = dataclasses.replace(block, findings=(bad_finding,))
-    bad = dataclasses.replace(results, results=(bad_block,))
+    bad_block = block._replace(findings=(bad_finding,))
+    bad = results._replace(results=(bad_block,))
     with pytest.raises(SerializationFailure):
         serialize_canonical(bad)
 
@@ -301,9 +301,9 @@ def _texts(value):
     """Every str held anywhere in a parsed document."""
     if isinstance(value, str):
         yield value
-    elif dataclasses.is_dataclass(value):
-        for member in dataclasses.fields(value):
-            yield from _texts(getattr(value, member.name))
+    elif hasattr(value, "_fields"):
+        for name in value._fields:
+            yield from _texts(getattr(value, name))
     elif isinstance(value, dict):
         for item in value.items():
             yield from _texts(item)
@@ -365,6 +365,19 @@ def test_canonical_json_bytes_matches_json_dumps(payload):
         return (text + "\n").encode("utf-8")
 
     assert _encoded(canonical_json_bytes, payload) == _encoded(reference, payload)
+
+
+@pytest.mark.parametrize("record", [
+    PropertyEntry("a", "b"),
+    StructuralViolation("results[0]", "uuid-missing", "uuid is empty"),
+    TraceChain("c", (("risk", "r1"),)),
+])
+def test_a_record_is_never_written_as_a_json_array(record):
+    # a record is a named tuple, which json.dumps would write as an array of its values
+    message = f"^Object of type {type(record).__name__} is not JSON serializable$"
+    for payload in ({"p": record}, [record]):
+        with pytest.raises(TypeError, match=message):
+            canonical_json_bytes(payload)
 
 
 # --- instants ---------------------------------------------------------------------
