@@ -181,9 +181,8 @@ def _with_joint_count(
     built-in controls among specs may read: the bound roles, group
     overrides and stratify_by columns, plus the weight; with no count when
     specs hold no such control. A column the table lacks is left out, so
-    only the control that names it fails on it. A ctx.joint that holds
-    every such column and was counted with the same weight is kept (the
-    CLI's run count)."""
+    only the control that names it fails on it. A ctx.joint that fits them
+    (JointCount.fits) is kept (the CLI's run count)."""
     readers = [
         s for s in specs if skip_reason(s) is None and registry.reads_joint_count(s.metric_key)
     ]
@@ -193,11 +192,8 @@ def _with_joint_count(
     roles = [] if b is None else [b.target, b.prediction, b.group]
     names = read_columns(readers, [*roles, ctx.params.get("group")])
     present = [n for n in names if ctx.table.has_column(n)]
-    weight = None if b is None else b.weight
-    if weight is not None and not ctx.table.has_column(weight):
-        weight = None
-    joint = ctx.joint
-    if joint is not None and set(present) <= set(joint.names) and joint.weight == weight:
+    weight = b.weight if b is not None and ctx.table.has_column(b.weight) else None
+    if ctx.joint is not None and ctx.joint.fits(present, weight):
         return ctx
     return ctx._replace(joint=count_rows(ctx.table, present, weight))
 
@@ -381,8 +377,8 @@ def enforce_phase(
     controls (complete evidence); the report is then blocked and the
     caller aborts at the process boundary after the phase. Roles that the
     selected controls need and ctx does not bind raise PolicyDataMismatch first.
-    The phase's rows are counted once, unless ctx.joint already holds every
-    column its controls read (_with_joint_count).
+    The phase's rows are counted once, unless ctx.joint already fits the
+    columns its controls read and the bound weight (_with_joint_count).
     """
     selected = select_controls(plan, phase)
     unbound = [

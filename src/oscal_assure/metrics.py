@@ -34,8 +34,8 @@ class MetricContext(NamedTuple):
     params: Mapping[str, str] = NO_ENTRIES
     evaluate_on: str = "target"
     #: Set by enforce_phase, evaluate_control or the CLI: the rows counted
-    #: once (a stratum's share of them for a stratified control). Built-ins
-    #: read it, not table.
+    #: once (a stratum's share for a stratified control). Built-ins read only
+    #: it and refuse one that does not fit them; when it is None, they count table.
     joint: JointCount | None = None
 
 
@@ -105,7 +105,7 @@ def role_bound(ctx: MetricContext, role: str) -> bool:
     }.get(role, False)
 
 
-# --- column access and the joint count ----------------------------------------
+# --- the joint count ---------------------------------------------------------
 
 
 class JointCount(NamedTuple):
@@ -120,7 +120,13 @@ class JointCount(NamedTuple):
     names: tuple[str, ...]
     cells: dict[tuple[str | None, ...], list]
     #: The weight column the rows were counted with, or None.
-    weight: str | None = None
+    weight: str | None
+    #: The counted table without its rows, which the built-ins check columns against.
+    schema: DataTable
+
+    def fits(self, names: Iterable[str], weight: str | None) -> bool:
+        """Whether the count holds each of names and was counted with weight."""
+        return self.weight == weight and set(names) <= set(self.names)
 
 
 #: Rows whose keys are built at a time, so that the keys in memory take at
@@ -199,7 +205,8 @@ def count_rows(
         if labels in cells:
             cell = [a + b for a, b in zip(cells[labels], cell)]
         cells[labels] = cell
-    return JointCount(tuple(names), cells, weight)
+    schema = DataTable(table.column_names, table.column_types, [()] * len(table.column_names), 0)
+    return JointCount(tuple(names), cells, weight, schema)
 
 
 def _bindings(ctx: MetricContext) -> RoleBindings:
@@ -208,19 +215,14 @@ def _bindings(ctx: MetricContext) -> RoleBindings:
     return ctx.bindings
 
 
-def _column(ctx: MetricContext, name: str) -> str:
-    ctx.table.column_type(name)  # raises MissingColumn
-    return name
-
-
 def _subject(ctx: MetricContext) -> tuple[str, str]:
     """Column and positive label for the side the control evaluates."""
     b = _bindings(ctx)
     if ctx.evaluate_on == "prediction":
         if b.prediction is None or b.prediction_positive is None:
             raise MissingRole("prediction column is not bound")
-        return _column(ctx, b.prediction), b.prediction_positive
-    return _column(ctx, b.target), b.target_positive
+        return b.prediction, b.prediction_positive
+    return b.target, b.target_positive
 
 
 def _group_column(ctx: MetricContext) -> str:
@@ -229,7 +231,7 @@ def _group_column(ctx: MetricContext) -> str:
         name = _bindings(ctx).group
     if name is None:
         raise MissingRole("group column is not bound")
-    return _column(ctx, name)
+    return name
 
 
 def _total(parts: list[float], what: str) -> float:
@@ -249,17 +251,18 @@ def _finite(value: float, what: str) -> float:
 def _crosstab(
     ctx: MetricContext, names: tuple[str, ...]
 ) -> tuple[dict[tuple[str, ...], list[float]], int]:
-    """{token tuple of `names`: masses} and the number of rows excluded for a
-    missing value in `names` or a missing weight: a marginal of ctx.joint,
-    or of a count of ctx.table when the context carries none."""
+    """{token tuple of `names`: masses} and the rows excluded for a missing
+    value in `names` or a missing weight: a marginal of ctx.joint, refused
+    unless it fits names and the bound weight (a stratum's share is never
+    counted again), else of a count of ctx.table, a built-in's one read of it."""
     weight = _bindings(ctx).weight
-    if weight is not None:
-        _column(ctx, weight)
     joint = ctx.joint if ctx.joint is not None else count_rows(ctx.table, names, weight)
-    try:
-        at = [joint.names.index(name) for name in names]
-    except ValueError:
-        raise NotComputable(f"a count of columns {joint.names} lacks one of {names}") from None
+    for name in (*names, weight):
+        if name is not None:
+            joint.schema.column_type(name)  # raises MissingColumn
+    if not joint.fits(names, weight):
+        raise NotComputable(f"a count of {joint.names} lacks one of {names} or weight {weight!r}")
+    at = [joint.names.index(name) for name in names]
     pick = itemgetter(*at) if len(at) > 1 else lambda key: (key[at[0]],)
     cells: dict[tuple[str, ...], list[float]] = {}
     excluded = 0
@@ -278,8 +281,8 @@ def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]
     """stratify's strata as shares of ctx.joint: same labels, order and
     errors (a missing cell and "" share the label ""), and no copied row.
     ctx.joint must hold `by`."""
-    stratum_encoding(ctx.table, by)  # refuses a column stratify refuses
     joint = ctx.joint
+    stratum_encoding(joint.schema, by)  # refuses a column stratify refuses
     at = joint.names.index(by)
     buckets: dict[str, dict] = {}
     for key, cell in joint.cells.items():
@@ -295,7 +298,7 @@ def _joint_strata(ctx: MetricContext, by: str) -> list[tuple[str, MetricContext]
 
 def class_imbalance_ratio(ctx: MetricContext) -> MetricOutcome:
     """Minority class mass over majority class mass on the target column."""
-    cells, excluded = _crosstab(ctx, (_column(ctx, _bindings(ctx).target),))
+    cells, excluded = _crosstab(ctx, (_bindings(ctx).target,))
     totals = {label: _total(parts, f"mass of class {label!r}") for (label,), parts in cells.items()}
     if len(totals) < 2:
         raise NotComputable(
@@ -370,7 +373,7 @@ def _confusion_counts(ctx: MetricContext) -> tuple[float, float, float, float, i
     b = _bindings(ctx)
     if b.prediction is None or b.prediction_positive is None:
         raise MissingRole("confusion metrics need a bound prediction column")
-    cells, excluded = _crosstab(ctx, (_column(ctx, b.target), _column(ctx, b.prediction)))
+    cells, excluded = _crosstab(ctx, (b.target, b.prediction))
     masses: dict[tuple[bool, bool], list[float]] = {}  # (actual, predicted) -> masses
     for (y, p), parts in cells.items():
         masses.setdefault((y == b.target_positive, p == b.prediction_positive), []).extend(parts)
@@ -430,7 +433,7 @@ def group_reweight(ctx: MetricContext) -> list[float]:
     Makes group and outcome independent under the weighted distribution.
     Rows missing group or outcome get a neutral weight of 1.0.
     """
-    names = (_group_column(ctx), _column(ctx, _bindings(ctx).target))
+    names = (_group_column(ctx), _bindings(ctx).target)
     # each entry is spelled once, for the count and the rows' lookups alike
     tokens = [dictionary_tokens(ctx.table.encoding(name)[1]) for name in names]
     cells = {key: cell[0] for key, cell in count_rows(ctx.table, names, tokens=tokens).cells.items()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from datetime import datetime
 from enum import Enum
 from typing import NamedTuple
@@ -228,12 +228,14 @@ def extract_control_spec(
     """Map one requirement's properties into a ControlSpec.
 
     Properties under a namespace other than DEFAULT_PROPERTY_NS, or with an
-    unrecognized name, are kept opaquely in extra_props; repeated
-    single-valued properties keep the last occurrence.
+    unrecognized name, are kept opaquely in extra_props. A single-valued
+    property or a metric_param key stated twice is refused, as a reader
+    that kept one copy and a reviewer who read the other would disagree;
+    lifecycle_phase may repeat.
     """
-    fields: dict[str, str] = {}
+    single: list[tuple[str, str]] = []
     phases: list[LifecyclePhase] = []
-    metric_params: dict[str, str] = {}
+    params: list[tuple[str, str]] = []
     extras: list[PropertyEntry] = []
 
     single_valued = {"metric_key", "operator", "threshold", *_ENUM_PROPS, *_TEXT_PROPS}
@@ -241,7 +243,7 @@ def extract_control_spec(
     for prop in props:
         ours = prop.ns in (None, DEFAULT_PROPERTY_NS)
         if ours and prop.name in single_valued:
-            fields[prop.name] = prop.value
+            single.append((prop.name, prop.value))
         elif ours and prop.name == "lifecycle_phase":
             phase = _parse_enum(LifecyclePhase, prop.value, control_id, "lifecycle_phase")
             if phase not in phases:
@@ -253,9 +255,11 @@ def extract_control_spec(
                     f"control {control_id!r}: metric_param {prop.value!r} "
                     "must look like key=value"
                 )
-            metric_params[key.strip()] = value
+            params.append((key.strip(), value))
         else:
             extras.append(prop)
+    fields = once(single, f"control {control_id!r} prop")
+    metric_params = once(params, f"control {control_id!r} metric_param key")
 
     for required in ("metric_key", "operator", "threshold"):
         if required not in fields:
@@ -363,6 +367,17 @@ def parsed(parse, token: str, what: str):
         return parse(token)
     except (ValueError, OverflowError) as exc:
         raise MalformedDocument(f"bad {what} {token!r}") from exc
+
+
+def once(pairs: Iterable[tuple[str, str]], what: str) -> dict[str, str]:
+    """pairs as a dict. A name stated twice is refused rather than read as
+    its first or its last value."""
+    values: dict[str, str] = {}
+    for name, value in pairs:
+        if name in values:
+            raise MalformedDocument(f"repeated {what} {name!r}")
+        values[name] = value
+    return values
 
 
 def _load_yaml(source: bytes):

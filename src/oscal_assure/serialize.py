@@ -14,7 +14,6 @@ bytes come from canonical.canonical_json_bytes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 from .canonical import (
     DETERMINISTIC_EPOCH,
@@ -31,6 +30,7 @@ from .plan import (
     document_body,
     nested,
     objects,
+    once,
     parse_props,
     parsed,
     text,
@@ -315,20 +315,9 @@ def _finite(token: str, what: str) -> float:
     return value
 
 
-def _once(pairs: Iterable[tuple[str, str]], what: str) -> dict[str, str]:
-    """pairs as a dict. The writer states each name once, so a repeated one
-    is refused rather than read as its first or its last value."""
-    values: dict[str, str] = {}
-    for name, value in pairs:
-        if name in values:
-            raise MalformedDocument(f"repeated {what} {name!r}")
-        values[name] = value
-    return values
-
-
 def _prop_values(props: list[PropertyEntry], where: str) -> dict[str, str]:
     """The value of each single-valued prop (every one but group-rate)."""
-    return _once(((p.name, p.value) for p in props if p.name != "group-rate"), f"{where} prop")
+    return once(((p.name, p.value) for p in props if p.name != "group-rate"), f"{where} prop")
 
 
 def _observation_from_dict(payload: dict) -> Observation:
@@ -346,7 +335,7 @@ def _observation_from_dict(payload: dict) -> Observation:
             rates.append((label, rate))
     per_group = {
         label: _finite(rate, "group-rate")
-        for label, rate in _once(rates, "group-rate label").items()
+        for label, rate in once(rates, "group-rate label").items()
     }
     methods = nested(payload, "methods", list) or ["TEST"]
     method = parsed(ObservationMethod, text(methods[0], "method"), "observation method")
@@ -383,7 +372,7 @@ def _finding_from_dict(payload: dict) -> Finding:
 
 def _risk_from_dict(payload: dict) -> Risk:
     prop_map = _prop_values(parse_props(payload, "risk"), "risk")
-    facets = _once((
+    facets = once((
         (facet.name, facet.value)
         for characterization in objects(payload, "characterizations")
         for facet in parse_props(characterization, "risk", "facets")

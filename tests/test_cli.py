@@ -152,6 +152,17 @@ def test_validate_refuses_a_bad_operator_or_metric_param_with_exit_three(
     assert capsys.readouterr().err == f"invalid policy: control 'c1': {message}\n"
 
 
+def test_validate_refuses_a_plan_that_states_a_threshold_twice(tmp_path, capsys):
+    policy = tmp_path / "twice.oscal.yaml"
+    first = 'value: "0.20"\n'
+    again = first + '            - name: threshold\n              value: "0.99"\n'
+    policy.write_text(SCENARIO_A_PLAN.read_text().replace(first, again, 1))
+    assert main(["validate", str(policy)]) == 3
+    assert capsys.readouterr().err == (
+        "invalid policy: repeated control 'credit-class-imbalance' prop 'threshold'\n"
+    )
+
+
 def test_validate_a_policy_with_an_unknown_extension_is_a_usage_error(tmp_path, capsys):
     policy = tmp_path / "plan.txt"
     policy.write_text(ONE_CONTROL_PLAN.format(operator="ge", param="a=1"))

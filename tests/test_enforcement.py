@@ -239,7 +239,9 @@ def test_a_phase_keeps_a_joint_count_that_holds_its_columns(
         ("class", "prediction", "gender", "age_group"), ("class", "prediction", "gender")
     ]
     # a count that lacks a column the phase reads is not kept
-    narrow = shared._replace(joint=metrics.JointCount(("class",), {}))
+    narrow = shared._replace(
+        joint=metrics.JointCount(("class",), {}, shared.joint.weight, shared.joint.schema)
+    )
     enforce_phase(scenario_a_plan, LifecyclePhase.VALIDATION, narrow, registry)
     assert counted[-1] == ("class", "prediction", "gender")
     assert len(counted) == 3
@@ -298,11 +300,24 @@ def test_evaluate_control_counts_the_columns_its_contexts_count_lacks(
         )
 
 
-def test_a_builtin_on_a_count_that_lacks_its_columns_is_not_computable(scenario_a_ctx):
+@pytest.mark.parametrize(
+    "names,counted_weight,bound_weight,message",
+    [
+        (["class"], None, None, r"\('class',\) lacks one of \('gender', 'class'\)"),
+        # a count taken with another weight: its masses are not the bound ones
+        (["class", "gender"], None, "duration_months", r"or weight 'duration_months'$"),
+        (["class", "gender"], "duration_months", None, r"or weight None$"),
+    ],
+    ids=["a-column", "unweighted-under-a-weight", "weighted-under-none"],
+)
+def test_a_builtin_on_a_count_that_lacks_its_columns_is_not_computable(
+    scenario_a_ctx, names, counted_weight, bound_weight, message
+):
     narrow = scenario_a_ctx._replace(
-        joint=metrics.count_rows(scenario_a_ctx.table, ["class"])
+        bindings=scenario_a_ctx.bindings._replace(weight=bound_weight),
+        joint=metrics.count_rows(scenario_a_ctx.table, names, counted_weight),
     )
-    with pytest.raises(NotComputable, match=r"\('class',\) lacks one of \('gender', 'class'\)"):
+    with pytest.raises(NotComputable, match=message):
         metrics.disparate_impact(narrow)
 
 
@@ -349,17 +364,25 @@ def test_broken_stratification_fails_closed_without_crashing_the_phase(
 ):
     bad_column = make_control("strat-miss", stratify_by="no_such_column")
     numeric = make_control("strat-num", stratify_by="y")
+    bad_group = make_control("group-miss", "disparate_impact", metric_params={"group": "nope"})
     healthy = make_control("still-runs", threshold=0.0)
-    plan = make_plan([bad_column, numeric, healthy])
+    plan = make_plan([bad_column, numeric, bad_group, healthy])
     report = enforce_phase(plan, LifecyclePhase.TRAINING, small_ctx, registry)
     assert [v.outcome for v in report.verdicts] == [
         VerdictOutcome.NOT_SATISFIED,
         VerdictOutcome.NOT_SATISFIED,
+        VerdictOutcome.NOT_SATISFIED,
         VerdictOutcome.SATISFIED,
     ]
-    for verdict in report.verdicts[:2]:
+    for verdict in report.verdicts[:3]:
         assert verdict.finding.remarks == "evaluation-error"
         assert dict(verdict.risk.facets)["actual"] == "not-computable"
+    assert [obs.remarks for v in report.verdicts for obs in v.observations] == [
+        "evaluation-error: column 'no_such_column' not in table",
+        "evaluation-error: column 'y' is integer, stratification needs categorical",
+        "evaluation-error: column 'nope' not in table",
+        None,
+    ]
     assert_structurally_valid(report.assessment_results, report.poam)
 
 

@@ -25,6 +25,7 @@ from oscal_assure.errors import (
     DuplicateKey,
     MissingRole,
     NotComputable,
+    OscalAssureError,
     UnknownMetricKey,
 )
 from oscal_assure.metrics import accuracy, count_rows, dice, sensitivity, specificity
@@ -417,3 +418,56 @@ def test_a_count_and_each_of_its_strata_record_its_weight(weight):
     assert joint.weight == weight
     strata = metrics._joint_strata(MetricContext(ctx.table, ctx.bindings, joint=joint), "g")
     assert [(label, s.joint.weight) for label, s in strata] == [("a", weight), ("b", weight)]
+
+
+# --- the count is a built-in's only input --------------------------------------
+
+
+class _Unreadable:
+    """A table that raises on every attribute read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a built-in read table.{name}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OscalAssureError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("evaluate_on", ["target", "prediction"])
+@pytest.mark.parametrize(
+    "params", [{}, {"group": "age_group", "privileged": "young"}, {"group": "nope"}]
+)
+@pytest.mark.parametrize("weight", [None, "duration_months", "no_such_weight"])
+def test_the_builtins_read_the_count_and_never_the_table(
+    scenario_a_ctx, evaluate_on, params, weight
+):
+    registry = default_registry()
+    ctx = scenario_a_ctx._replace(
+        bindings=scenario_a_ctx.bindings._replace(weight=weight),
+        params=params,
+        evaluate_on=evaluate_on,
+    )
+    # counted as a phase counts: a weight the table lacks is left out
+    counted = weight if ctx.table.has_column(weight) else None
+    joint = count_rows(ctx.table, ["class", "prediction", "gender", "age_group"], counted)
+    blind = ctx._replace(table=_Unreadable(), joint=joint)
+    for key in registry.keys():
+        assert _outcome(registry.evaluate, key, blind) == _outcome(registry.evaluate, key, ctx)
+    # each stratum's share gives what its stratify table gives, and a
+    # column stratify refuses is refused with stratify's error
+    for by in ("age_group", "nope", "credit_amount"):
+        shares = _outcome(metrics._joint_strata, blind, by)
+        tables = _outcome(stratify, ctx.table, by)
+        if isinstance(tables, tuple):
+            assert shares == tables
+            continue
+        assert [label for label, _ in shares] == [label for label, _ in tables]
+        for (_, share), (_, table) in zip(shares, tables):
+            for key in registry.keys():
+                assert _outcome(registry.evaluate, key, share) == _outcome(
+                    registry.evaluate, key, ctx._replace(table=table)
+                )

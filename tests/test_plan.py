@@ -110,6 +110,41 @@ def test_repeated_lifecycle_phase_collects_into_one_set():
     )
 
 
+#: One prop of each name extract_control_spec reads, each single-valued
+#: one stated once.
+_EVERY_PROP = [
+    PropertyEntry(name, value)
+    for name, value in (
+        ("metric_key", "disparate_impact"), ("operator", "ge"), ("threshold", "0.8"),
+        ("severity", "high"), ("lifecycle_phase", "training"), ("enforcement_mode", "block"),
+        ("evaluation_method", "automated"), ("evaluation_window", "per-run"),
+        ("target_type", "dataset"), ("risk_id", "R-1"), ("treatment_id", "T-1"),
+        ("policy_id", "P-1"), ("objective_id", "O-1"), ("risk_acceptance_criteria", "low"),
+        ("threshold_justification", "EEOC"), ("stakeholder_consultation_ref", "S-1"),
+        ("stratify_by", "site"), ("metric_param", "group=g"), ("metric_param", "privileged=a"),
+        ("lifecycle_phase", "validation"),
+    )
+]
+SINGLE_VALUED = [name for name in THE_16_PROPERTIES if name != "lifecycle_phase"] + ["stratify_by"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_control_that_states_a_single_valued_prop_or_param_twice_is_refused(data):
+    extract_control_spec(_EVERY_PROP, "c", "")
+    name = data.draw(st.sampled_from([*SINGLE_VALUED, "group", "privileged"]), "name")
+    value = data.draw(st.sampled_from([None, "0.99"]), "value")  # None: a prop restated as is
+    if name in SINGLE_VALUED:
+        first = next(p for p in _EVERY_PROP if p.name == name)
+        again, what = first._replace(value=value or first.value), "prop"
+    else:
+        again, what = PropertyEntry("metric_param", f"{name}={value}"), "metric_param key"
+    at = data.draw(st.integers(0, len(_EVERY_PROP)), "at")
+    props = [*_EVERY_PROP[:at], again, *_EVERY_PROP[at:]]
+    with pytest.raises(MalformedDocument, match=f"^repeated control 'c' {what} '{name}'$"):
+        extract_control_spec(props, "c", "")
+
+
 def test_extract_normalizes_symbolic_operator():
     spec = extract_control_spec(
         [
